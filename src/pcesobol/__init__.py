@@ -14,8 +14,6 @@ from .basis import (
     count_total_degree,
     enumerate_hyperbolic,
     eval_basis_matrix,
-    eval_basis_row,
-    eval_orthonormal_1d,
     eval_orthonormal_all,
 )
 from .regression import (
@@ -64,8 +62,6 @@ __all__ = [
     "count_total_degree",
     "enumerate_hyperbolic",
     "eval_basis_matrix",
-    "eval_basis_row",
-    "eval_orthonormal_1d",
     "eval_orthonormal_all",
     "generalization_error",
     "grouped_sums",

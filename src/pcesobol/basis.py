@@ -67,12 +67,6 @@ def eval_orthonormal_all(family: str, max_degree: int, u) -> np.ndarray:
     return out
 
 
-def eval_orthonormal_1d(family: str, degree: int, u):
-    """Value of the orthonormal polynomial of a given degree at ``u``."""
-    values = eval_orthonormal_all(family, degree, u)
-    return values[..., degree]
-
-
 def count_total_degree(m: int, p: int) -> int:
     """Size of the full total-degree basis, binom(m + p, p), exactly."""
     return math.comb(m + p, p)
@@ -122,12 +116,6 @@ class MultiIndexSet:
 
     def total_degrees(self) -> np.ndarray:
         return self.degrees.sum(axis=1)
-
-    def subset(self, rows) -> "MultiIndexSet":
-        """New set from a selection of rows (re-sorted graded-lex)."""
-        sel = self.degrees[np.asarray(rows, dtype=int)]
-        sel = sel[_graded_lex_order(sel)]
-        return MultiIndexSet(sel, self.p, self.q)
 
     def issubset(self, other: "MultiIndexSet") -> bool:
         mine = {tuple(row) for row in self.degrees}
@@ -196,17 +184,8 @@ def enumerate_hyperbolic(m: int, p: int, q: float) -> MultiIndexSet:
     if not (0.0 < q <= 1.0):
         raise ValueError(f"q must lie in (0, 1], got {q}")
 
-    if q == 1.0:
-        patterns = [
-            tuple(pat)
-            for k in range(0, p + 1)
-            for pat in _partitions_desc(k)
-        ]
-    else:
-        patterns = _degree_patterns(p, q)
-
     rows = []
-    for pattern in patterns:
+    for pattern in _degree_patterns(p, q):
         if len(pattern) > m:
             continue
         # multiplicities of the distinct degree values, largest first
@@ -215,24 +194,6 @@ def enumerate_hyperbolic(m: int, p: int, q: float) -> MultiIndexSet:
     degrees = np.array(rows, dtype=np.int16)
     degrees = degrees[_graded_lex_order(degrees)]
     return MultiIndexSet(degrees, p, q)
-
-
-def _partitions_desc(total: int):
-    """Integer partitions of ``total`` as nonincreasing tuples."""
-    if total == 0:
-        yield ()
-        return
-
-    def rec(remaining, cap, prefix):
-        if remaining == 0:
-            yield tuple(prefix)
-            return
-        for d in range(min(cap, remaining), 0, -1):
-            prefix.append(d)
-            yield from rec(remaining - d, d, prefix)
-            prefix.pop()
-
-    yield from rec(total, total, [])
 
 
 def _place_pattern(values, m: int):
@@ -277,11 +238,3 @@ def eval_basis_matrix(mset: MultiIndexSet, u_points, families) -> np.ndarray:
         for j in np.nonzero(row)[0]:
             out[:, k] *= tables[j][:, row[j]]
     return out
-
-
-def eval_basis_row(mset: MultiIndexSet, u_point, families) -> np.ndarray:
-    """Basis values at a single standardized point (1-D array)."""
-    u = np.asarray(u_point, dtype=float)
-    if u.ndim != 1:
-        raise ValueError("eval_basis_row expects a single point")
-    return eval_basis_matrix(mset, u[None, :], families)[0]

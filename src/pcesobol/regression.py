@@ -6,10 +6,16 @@ closed form from the leverages of that single fit.  The prefix with the
 smallest corrected LOO error wins.  No regularization constant is ever
 tuned: model size along the path plays its role.
 
-Degeneracy handling is explicit: a prefix whose normal equations exceed a
-condition estimate of 1e12, or whose leverage saturates (some h_i within
-1e-10 of 1, i.e. the fit memorizes point i), is skipped with a diagnostic
-rather than silently producing garbage.
+Both jobs run in one pass over one thin QR of ``[1, psi_order...]``: each
+LAR pick is orthogonalized once, which updates the prefix's fit and LOO
+score and also yields the next equiangular direction, so no Gram matrix is
+formed or factored.  ``loo_error`` and ``corrected_loo`` run the same
+column-append step.
+
+Degeneracy handling is explicit: a prefix that loses rank, whose condition
+estimate exceeds 1e12, or whose leverage saturates (some h_i within 1e-10
+of 1, i.e. the fit memorizes point i) is never selected, and it ends the
+path, since every longer prefix contains it.
 """
 
 from __future__ import annotations
@@ -18,7 +24,9 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
+from scipy.linalg import solve_triangular
+# not called here: perfbench's trace plan counts calls through this name
+from scipy.linalg import cho_factor  # noqa: F401
 
 from .basis import (
     MultiIndexSet,
@@ -169,84 +177,25 @@ class FitDiagnostics:
         )
 
 
-def lar_path(design_matrix, y, max_terms=None, const_col=0):
+def lar_path(design_matrix, y):
     """Least angle regression inclusion order over basis columns.
 
-    Predictor columns are centered and scaled to unit norm internally; the
-    constant column (``const_col``) never competes and is handled by
-    centering the responses.  Returns the ordered list of selected column
-    indices (into ``design_matrix``); its prefixes are the nested candidate
-    active sets.  The path ends early when every residual correlation
-    drops below 1e-12 or the active Gram matrix loses rank.
+    Column 0 is the constant; it never competes and is handled by
+    centering.  Returns the ordered list of selected column indices (into
+    ``design_matrix``); its prefixes are the nested candidate active sets.
+    This is the path every fit walks: one pass orthogonalizes each pick
+    once against ``[1, psi_order...]`` and scores each prefix on the way,
+    so the path ends when every residual correlation drops below 1e-12,
+    when no step length is left, or at the first prefix the scan rejects
+    (rank loss, condition estimate above 1e12, saturated leverage or
+    card(A) >= N): no later prefix would ever be scored.  The rejected
+    pick is not in the returned order.
     """
     psi = np.asarray(design_matrix, dtype=float)
     y = np.asarray(y, dtype=float).ravel()
-    n, n_cols = psi.shape
-    if y.shape[0] != n:
+    if y.shape[0] != psi.shape[0]:
         raise ValueError("responses do not match design matrix rows")
-
-    cand = [j for j in range(n_cols) if j != const_col]
-    x = psi[:, cand] - psi[:, cand].mean(axis=0)
-    norms = np.linalg.norm(x, axis=0)
-    usable = norms > 1e-13 * max(1.0, float(np.max(norms, initial=0.0)))
-    cand = [j for j, u in zip(cand, usable) if u]
-    x = x[:, usable] / norms[usable]
-    p_avail = len(cand)
-
-    cap = min(n - 1, p_avail)
-    if max_terms is None:
-        max_terms = cap
-    if not (0 <= max_terms <= cap):
-        raise ValueError(f"max_terms must lie in [0, min(N-1, P)] = [0, {cap}]")
-    if max_terms == 0 or p_avail == 0:
-        return []
-
-    yc = y - y.mean()
-    mu = np.zeros(n)
-    order_local: list[int] = []
-    inactive = np.ones(p_avail, dtype=bool)
-
-    while len(order_local) < max_terms:
-        c = x.T @ (yc - mu)
-        c_in = np.where(inactive, np.abs(c), -np.inf)
-        big_c = float(np.max(c_in))
-        if big_c < _CORR_TOL:
-            break
-        j_new = int(np.argmax(c_in))
-        order_local.append(j_new)
-        inactive[j_new] = False
-
-        active = order_local
-        signs = np.sign(c[active])
-        signs[signs == 0] = 1.0
-        xa = x[:, active] * signs
-        gram = xa.T @ xa
-        try:
-            chol = cho_factor(gram, lower=True)
-        except np.linalg.LinAlgError:
-            order_local.pop()
-            break
-        w = cho_solve(chol, np.ones(len(active)))
-        s = float(np.sum(w))
-        if s <= 0:
-            order_local.pop()
-            break
-        a_norm = 1.0 / np.sqrt(s)
-        u_dir = xa @ (w * a_norm)
-
-        if len(order_local) == max_terms or not np.any(inactive):
-            break
-        a = x.T @ u_dir
-        with np.errstate(divide="ignore", invalid="ignore"):
-            g1 = (big_c - c) / (a_norm - a)
-            g2 = (big_c + c) / (a_norm + a)
-        gammas = np.concatenate([g1[inactive], g2[inactive]])
-        gammas = gammas[np.isfinite(gammas) & (gammas > _CORR_TOL)]
-        if gammas.size == 0:
-            break
-        mu += float(np.min(gammas)) * u_dir
-
-    return [cand[j] for j in order_local]
+    return _hybrid_path(psi, y).order
 
 
 def loo_error(psi, y, coeffs) -> float:
@@ -255,38 +204,24 @@ def loo_error(psi, y, coeffs) -> float:
     ``(1/N) sum_i ((y_i - yhat_i) / (1 - h_i))^2`` with ``h_i`` the
     diagonal of the hat matrix of ``psi``, normalized by the empirical
     response variance.  Requires full column rank and non-saturated
-    leverage.
+    leverage.  The leverages come from the same column-append step the
+    fit's prefix scan runs.
     """
     psi = np.atleast_2d(np.asarray(psi, dtype=float))
     y = np.asarray(y, dtype=float).ravel()
-    q, r = np.linalg.qr(psi)
-    rd = np.abs(np.diag(r))
-    if rd.min() <= 1e-13 * max(rd.max(), 1.0):
-        raise ValueError("design matrix is rank deficient")
-    h = np.sum(q**2, axis=1)
-    if np.any(h >= 1.0 - _LEVERAGE_TOL):
-        raise ValueError(
-            "saturated leverage: the model memorizes at least one point"
-        )
-    resid = y - psi @ np.asarray(coeffs, dtype=float)
-    err_abs = float(np.mean((resid / (1.0 - h)) ** 2))
-    return _relative(err_abs, y)
+    qr = _orthogonalize(psi, y)
+    return qr.loo(y - psi @ np.asarray(coeffs, dtype=float))[0]
 
 
-def corrected_loo(err_loo, n, card_a, psi) -> float:
-    """Finite-sample corrected LOO error.
+def corrected_loo(err_loo, psi) -> float:
+    """Finite-sample corrected LOO error of a fit on ``psi`` (N x card(A)).
 
-    Multiplies the LOO error by ``(1 - card_a/N)^-1 (1 + tr((Psi^T Psi)^-1))``;
-    the trace is computed from the normalized information matrix
-    ``Psi^T Psi / N`` as ``tr((Psi^T Psi / N)^-1) / N``, the same quantity
-    written in a scale-free way.  Both factors are >= 1.
+    Multiplies the LOO error by ``(1 - card(A)/N)^-1 (1 + tr((Psi^T Psi)^-1))``,
+    with the trace taken as the squared Frobenius norm of ``R^-1`` from the
+    fit's thin QR.  Both factors are >= 1.
     """
-    if card_a >= n:
-        raise ValueError("correction requires card(A) < N")
     psi = np.atleast_2d(np.asarray(psi, dtype=float))
-    info = psi.T @ psi / n
-    trace = float(np.trace(np.linalg.inv(info))) / n
-    return float(err_loo) * (1.0 + trace) / (1.0 - card_a / n)
+    return float(err_loo) * _orthogonalize(psi, np.zeros(psi.shape[0])).correction()
 
 
 def generalization_error(pce: SparsePce, validation: ExperimentalDesign) -> float:
@@ -310,122 +245,192 @@ def _zero_floor(y: np.ndarray) -> float:
     return (1e-12 * max(1.0, float(np.max(np.abs(y), initial=0.0)))) ** 2
 
 
-def _relative(err_abs: float, y: np.ndarray) -> float:
-    if err_abs <= _zero_floor(y):
-        return 0.0
-    var = float(np.var(y, ddof=1)) if y.size > 1 else 0.0
-    if var <= 0.0:
-        raise ValueError("responses have zero variance but nonzero error")
-    return err_abs / var
+class _Degenerate(ValueError):
+    """A model that cannot be fit or scored: every superset inherits it."""
 
 
-@dataclass
-class _PrefixScan:
-    """Outcome of the per-prefix OLS/LOO sweep along a LAR path."""
+class _ThinQr:
+    """Thin QR of a growing set of columns, with the OLS fit of ``y`` on it.
 
-    best_k: int | None          # number of selected terms beside the constant
-    best_err_loo: float
-    best_err_corrected: float
-    coeffs: np.ndarray | None   # aligned with [const] + order[:best_k]
-    n_skipped: int
-    table: list
-
-
-def _scan_prefixes(psi, y, order) -> _PrefixScan:
-    """OLS + closed-form LOO for every prefix of the LAR path.
-
-    One incremental thin-QR pass: each step orthogonalizes one more column,
-    updating leverages, residuals and tr((Psi_A^T Psi_A)^-1) (the squared
-    Frobenius norm of R^-1) in O(N k).  Since prefixes are nested, the
-    first saturated or rank-deficient prefix ends the scan: every superset
-    inherits the defect.
+    ``append`` orthogonalizes one more column (classical Gram-Schmidt,
+    applied twice) and updates the leverages, the residuals and
+    tr((Psi^T Psi)^-1), the squared Frobenius norm of R^-1, in O(N k).
+    Leverage only grows and conditioning only worsens along nested
+    column sets, so a refused column or model ends every extension.
     """
-    n = psi.shape[0]
-    kmax = len(order) + 1
-    q_mat = np.empty((n, kmax))
-    r_mat = np.zeros((kmax, kmax))
-    r_inv = np.zeros((kmax, kmax))
-    qty = np.empty(kmax)
 
-    var = float(np.var(y, ddof=1)) if n > 1 else 0.0
+    def __init__(self, y, max_cols):
+        n = y.shape[0]
+        self.y = y
+        self.var = float(np.var(y, ddof=1)) if n > 1 else 0.0
+        self.qt = np.empty((max_cols, n))  # row k is orthonormal column k
+        self.r = np.zeros((max_cols, max_cols))
+        self.r_inv = np.zeros((max_cols, max_cols))
+        self.qty = np.empty(max_cols)
+        self.h = np.zeros(n)
+        self.resid = y.copy()
+        self.fro2 = 0.0
+        self.k = 0
+        self.rd_min, self.rd_max = np.inf, 0.0
 
-    best_k = None
-    best_err = np.inf
-    best_loo = np.inf
-    n_skipped = 0
-    table = []
-
-    v = psi[:, 0].astype(float)
-    rho = float(np.linalg.norm(v))
-    q_mat[:, 0] = v / rho
-    r_mat[0, 0] = rho
-    r_inv[0, 0] = 1.0 / rho
-    qty[0] = q_mat[:, 0] @ y
-    h = q_mat[:, 0] ** 2
-    resid = y - q_mat[:, 0] * qty[0]
-    fro2 = r_inv[0, 0] ** 2
-    rd_min = rd_max = rho
-
-    def score(k_terms):
-        nonlocal best_k, best_err, best_loo, n_skipped
-        card = k_terms + 1
-        if np.any(h >= 1.0 - _LEVERAGE_TOL) or card >= n:
-            n_skipped += 1
-            table.append((k_terms, None, None, "saturated"))
-            return False
-        err_abs = float(np.mean((resid / (1.0 - h)) ** 2))
-        if err_abs <= _zero_floor(y):
-            err = 0.0
-        elif var <= 0.0:
-            n_skipped += 1
-            table.append((k_terms, None, None, "zero-variance"))
-            return False
-        else:
-            err = err_abs / var
-        corrected = err * (1.0 + fro2) / (1.0 - card / n)
-        table.append((k_terms, err, corrected, "ok"))
-        if corrected < best_err:
-            best_k, best_err, best_loo = k_terms, corrected, err
-        return True
-
-    score(0)
-    for step, col in enumerate(order, start=1):
-        v = psi[:, col].astype(float)
-        head = q_mat[:, :step].T @ v
-        w = v - q_mat[:, :step] @ head
-        extra = q_mat[:, :step].T @ w
-        w -= q_mat[:, :step] @ extra
+    def append(self, v) -> None:
+        k = self.k
+        qt = self.qt[:k]
+        head = qt @ v
+        w = v - head @ qt
+        extra = qt @ w
+        w -= extra @ qt
         head += extra
         rho = float(np.linalg.norm(w))
         if rho <= 1e-13 * max(float(np.linalg.norm(v)), 1.0):
-            n_skipped += len(order) - step + 1
-            table.append((step, None, None, "rank-deficient"))
-            break
-        rd_min, rd_max = min(rd_min, rho), max(rd_max, rho)
+            raise _Degenerate("design matrix is rank deficient")
+        rd_min, rd_max = min(self.rd_min, rho), max(self.rd_max, rho)
         if rd_max / rd_min > _COND_LIMIT:
-            n_skipped += len(order) - step + 1
-            table.append((step, None, None, "ill-conditioned"))
-            break
-        q_mat[:, step] = w / rho
-        r_mat[:step, step] = head
-        r_mat[step, step] = rho
-        new_col = -r_inv[:step, :step] @ head / rho
-        r_inv[:step, step] = new_col
-        r_inv[step, step] = 1.0 / rho
-        fro2 += float(new_col @ new_col) + 1.0 / rho**2
-        qty[step] = q_mat[:, step] @ y
-        h = h + q_mat[:, step] ** 2
-        resid = resid - q_mat[:, step] * qty[step]
-        if not score(step):
-            # leverage only grows along nested prefixes
-            n_skipped += len(order) - step
-            break
+            raise _Degenerate("design matrix is ill-conditioned")
+        self.rd_min, self.rd_max = rd_min, rd_max
+        q = w / rho
+        self.qt[k] = q
+        self.r[:k, k] = head
+        self.r[k, k] = rho
+        new_col = -self.r_inv[:k, :k] @ head / rho
+        self.r_inv[:k, k] = new_col
+        self.r_inv[k, k] = 1.0 / rho
+        self.fro2 += float(new_col @ new_col) + 1.0 / rho**2
+        self.qty[k] = q @ self.y
+        self.h += q**2
+        self.resid -= q * self.qty[k]
+        self.k = k + 1
+
+    def correction(self) -> float:
+        """Corrected-over-plain LOO factor (1 + tr) / (1 - card(A)/N)."""
+        n = self.h.shape[0]
+        if self.k >= n:
+            raise _Degenerate("correction requires card(A) < N")
+        return (1.0 + self.fro2) / (1.0 - self.k / n)
+
+    def loo(self, resid=None) -> tuple[float, float]:
+        """Relative LOO error of the fit and its corrected form.
+
+        ``resid`` defaults to the residuals of the OLS fit kept here.
+        """
+        if np.any(self.h >= 1.0 - _LEVERAGE_TOL):
+            raise _Degenerate(
+                "saturated leverage: the model memorizes at least one point"
+            )
+        resid = self.resid if resid is None else resid
+        err_abs = float(np.mean((resid / (1.0 - self.h)) ** 2))
+        if err_abs <= _zero_floor(self.y):
+            err = 0.0
+        elif self.var <= 0.0:
+            raise _Degenerate("responses have zero variance but nonzero error")
+        else:
+            err = err_abs / self.var
+        return err, err * self.correction()
+
+
+def _orthogonalize(psi, y) -> _ThinQr:
+    qr = _ThinQr(y, psi.shape[1])
+    for col in psi.T:
+        qr.append(col)
+    return qr
+
+
+@dataclass
+class _HybridPath:
+    """A LAR path with its best-scoring prefix."""
+
+    order: list                 # selected columns of psi, in inclusion order
+    best_k: int | None          # number of selected terms beside the constant
+    err_loo: float
+    err_corrected: float
+    coeffs: np.ndarray | None   # aligned with [0] + order[:best_k]
+
+
+def _hybrid_path(psi, y) -> _HybridPath:
+    """LAR over the non-constant columns of ``psi``, every prefix scored.
+
+    Each pick is orthogonalized once against ``[1, psi_order...]``.  That
+    thin QR gives the prefix's OLS fit and closed-form LOO error, and also
+    the next LAR step: with X_A the centered, unit-norm active columns,
+    D their centered norms and s the correlation signs,
+    X_A S = Q_1 R_11 D^-1 S, so the equiangular direction is Q_1 t with
+    t = R_11^-T D s, and 1^T (S X_A^T X_A S)^-1 1 = |t|^2.  No Gram matrix
+    is formed.  The first prefix the scan rejects ends the path.
+    """
+    n = psi.shape[0]
+    x = psi[:, 1:] - psi[:, 1:].mean(axis=0)
+    norms = np.linalg.norm(x, axis=0)
+    # columns that are constant up to roundoff never compete
+    inactive = norms > 1e-13 * max(1.0, float(np.max(norms, initial=0.0)))
+    norms[~inactive] = 1.0
+    x /= norms
+
+    yc = y - y.mean()
+    mu = np.zeros(n)
+    c = x.T @ yc
+    qr = _ThinQr(y, min(n, int(np.count_nonzero(inactive)) + 1))
+    active: list[int] = []  # columns of x, in inclusion order
+    best_k, best = None, (np.inf, np.inf)
+    try:
+        qr.append(psi[:, 0])
+        best_k, best = 0, qr.loo()
+        while np.any(inactive):
+            c_in = np.where(inactive, np.abs(c), -np.inf)
+            j_new = int(np.argmax(c_in))
+            big_c = float(c_in[j_new])
+            if big_c < _CORR_TOL:
+                break
+            qr.append(psi[:, j_new + 1])
+            scored = qr.loo()
+            active.append(j_new)
+            inactive[j_new] = False
+            if scored[1] < best[1]:
+                best_k, best = len(active), scored
+
+            k = len(active)
+            signs = np.sign(c[active])
+            signs[signs == 0] = 1.0
+            t = qr.r_inv[1 : k + 1, 1 : k + 1].T @ (norms[active] * signs)
+            a_norm = 1.0 / float(np.linalg.norm(t))
+            u_dir = (t * a_norm) @ qr.qt[1 : k + 1]
+            a = x.T @ u_dir
+            with np.errstate(divide="ignore", invalid="ignore"):
+                g1 = (big_c - c) / (a_norm - a)
+                g2 = (big_c + c) / (a_norm + a)
+            gammas = np.concatenate([g1[inactive], g2[inactive]])
+            gammas = gammas[np.isfinite(gammas) & (gammas > _CORR_TOL)]
+            if gammas.size == 0:
+                break
+            mu += float(np.min(gammas)) * u_dir
+            c = x.T @ (yc - mu)
+    except _Degenerate:
+        pass
 
     coeffs = None
     if best_k is not None:
         k = best_k + 1
-        coeffs = solve_triangular(r_mat[:k, :k], qty[:k], lower=False)
-    return _PrefixScan(best_k, best_loo, best_err, coeffs, n_skipped, table)
+        coeffs = solve_triangular(qr.r[:k, :k], qr.qty[:k], lower=False)
+    order = [j + 1 for j in active]
+    return _HybridPath(order, best_k, best[0], best[1], coeffs)
+
+
+def _checked_responses(responses, design: ExperimentalDesign, scale: str):
+    """Responses as a float vector, after the checks every fit needs."""
+    y = np.asarray(responses, dtype=float).ravel()
+    if y.shape[0] != design.n:
+        raise ValueError("responses do not match design size")
+    if design.n <= 2:
+        raise ValueError("need more than two design points")
+    bad = np.flatnonzero(~np.isfinite(y))
+    if bad.size:
+        rows = ", ".join(str(i) for i in bad[:10]) + (", ..." if bad.size > 10 else "")
+        raise ValueError(f"{bad.size} non-finite responses, at rows {rows}")
+    if scale == LOG:
+        if np.any(y <= 0):
+            raise ValueError("log-scale fit requires strictly positive responses")
+    elif scale != ORIGINAL:
+        raise ValueError(f"unknown response scale {scale!r}")
+    return y
 
 
 def hybrid_fit(
@@ -434,37 +439,27 @@ def hybrid_fit(
     responses,
     rv: RandomVector,
     scale: str = ORIGINAL,
-    max_terms=None,
 ) -> SparsePce:
     """Fit a sparse expansion on a fixed candidate basis.
 
     LAR selects the predictors; every path prefix is refit by OLS and the
     prefix with the smallest corrected LOO error is returned.
     """
-    y = np.asarray(responses, dtype=float).ravel()
-    if y.shape[0] != design.n:
-        raise ValueError("responses do not match design size")
-    if design.n <= 2:
-        raise ValueError("need more than two design points")
+    y = _checked_responses(responses, design, scale)
     if scale == LOG:
-        if np.any(y <= 0):
-            raise ValueError("log-scale fit requires strictly positive responses")
         y = np.log(y)
-    elif scale != ORIGINAL:
-        raise ValueError(f"unknown response scale {scale!r}")
 
     u = rv.to_standard(design.points)
     psi = eval_basis_matrix(candidate, u, rv.families)
-    order = lar_path(psi, y, max_terms=max_terms)
-    scan = _scan_prefixes(psi, y, order)
-    if scan.best_k is None:
+    path = _hybrid_path(psi, y)
+    if path.best_k is None:
         raise RuntimeError("every candidate model along the path was degenerate")
 
-    cols = [0] + order[: scan.best_k]
+    cols = [0] + path.order[: path.best_k]
     rows = candidate.degrees[cols]
     perm = _graded_lex_order(rows)
     active = MultiIndexSet(rows[perm], candidate.p, candidate.q)
-    coeffs = np.asarray(scan.coeffs)[perm]
+    coeffs = np.asarray(path.coeffs)[perm]
 
     return SparsePce(
         random_vector=rv,
@@ -472,8 +467,8 @@ def hybrid_fit(
         coefficients=coeffs,
         degree=candidate.p,
         q=candidate.q,
-        err_loo=scan.best_err_loo,
-        err_loo_corrected=scan.best_err_corrected,
+        err_loo=path.err_loo,
+        err_loo_corrected=path.err_corrected,
         sparsity_index=len(active) / len(candidate),
         candidate_size=len(candidate),
         response_scale=scale,
@@ -488,7 +483,6 @@ def adaptive_fit(
     q: float,
     scale: str = ORIGINAL,
     early_stop: bool = True,
-    max_terms=None,
 ):
     """Degree-adaptive fit: sweep p, keep the smallest corrected LOO error.
 
@@ -501,13 +495,7 @@ def adaptive_fit(
     if not p_list or p_list[0] < 1:
         raise ValueError("p_range must contain degrees >= 1")
     # input-contract problems would repeat identically at every degree
-    y = np.asarray(responses, dtype=float).ravel()
-    if y.shape[0] != design.n:
-        raise ValueError("responses do not match design size")
-    if design.n <= 2:
-        raise ValueError("need more than two design points")
-    if scale == LOG and np.any(y <= 0):
-        raise ValueError("log-scale fit requires strictly positive responses")
+    y = _checked_responses(responses, design, scale)
 
     diag = FitDiagnostics()
     best: SparsePce | None = None
@@ -516,7 +504,7 @@ def adaptive_fit(
     for p in p_list:
         candidate = enumerate_hyperbolic(rv.m, p, q)
         try:
-            pce = hybrid_fit(candidate, design, y, rv, scale, max_terms)
+            pce = hybrid_fit(candidate, design, y, rv, scale)
         except (RuntimeError, np.linalg.LinAlgError) as exc:
             diag.add(p, len(candidate), None, None, f"failed: {exc}")
             last_error = exc

@@ -9,8 +9,6 @@ from pcesobol import (
     count_total_degree,
     enumerate_hyperbolic,
     eval_basis_matrix,
-    eval_basis_row,
-    eval_orthonormal_1d,
     eval_orthonormal_all,
 )
 
@@ -37,23 +35,24 @@ def hermite_exact(n, x: Fraction) -> Fraction:
 
 class TestOrthonormal1d:
     def test_legendre_degree_one_at_one(self):
-        assert eval_orthonormal_1d("legendre", 1, 1.0) == pytest.approx(math.sqrt(3))
+        value = eval_orthonormal_all("legendre", 1, 1.0)[..., 1]
+        assert value == pytest.approx(math.sqrt(3))
 
     def test_hermite_degree_two_at_zero(self):
-        assert eval_orthonormal_1d("hermite", 2, 0.0) == pytest.approx(
+        assert eval_orthonormal_all("hermite", 2, 0.0)[..., 2] == pytest.approx(
             -1.0 / math.sqrt(2)
         )
 
     def test_legendre_degree_eight_against_exact_recurrence(self):
         exact = float(legendre_exact(8, Fraction(3, 10))) * math.sqrt(2 * 8 + 1)
-        got = eval_orthonormal_1d("legendre", 8, 0.3)
+        got = eval_orthonormal_all("legendre", 8, 0.3)[..., 8]
         assert got == pytest.approx(exact, abs=1e-13)
 
     @pytest.mark.parametrize("degree", [20, 30, 35])
     def test_legendre_stable_at_high_degree(self, degree):
         x = Fraction(-7, 9)
         exact = float(legendre_exact(degree, x)) * math.sqrt(2 * degree + 1)
-        got = eval_orthonormal_1d("legendre", degree, float(x))
+        got = eval_orthonormal_all("legendre", degree, float(x))[..., degree]
         assert got == pytest.approx(exact, rel=1e-12, abs=1e-12)
 
     @pytest.mark.parametrize("degree", [12, 30])
@@ -62,16 +61,16 @@ class TestOrthonormal1d:
         exact = float(hermite_exact(degree, x)) / math.sqrt(
             float(math.factorial(degree))
         )
-        got = eval_orthonormal_1d("hermite", degree, float(x))
+        got = eval_orthonormal_all("hermite", degree, float(x))[..., degree]
         assert got == pytest.approx(exact, rel=1e-11)
 
     def test_legendre_domain_enforced(self):
         with pytest.raises(ValueError):
-            eval_orthonormal_1d("legendre", 3, 1.5)
+            eval_orthonormal_all("legendre", 3, 1.5)
 
     def test_unknown_family(self):
         with pytest.raises(ValueError):
-            eval_orthonormal_1d("laguerre", 1, 0.5)
+            eval_orthonormal_all("laguerre", 1, 0.5)
 
     @pytest.mark.parametrize("family,nodes", [("legendre", 40), ("hermite", 40)])
     def test_gram_matrix_is_identity(self, family, nodes):
@@ -162,12 +161,13 @@ class TestMultiIndexSet:
 class TestBasisRows:
     def test_zero_index_only(self):
         mset = enumerate_hyperbolic(3, 0, 1.0)
-        row = eval_basis_row(mset, np.array([0.3, -0.2, 0.9]), ["legendre"] * 3)
+        u = np.array([0.3, -0.2, 0.9])
+        row = eval_basis_matrix(mset, u, ["legendre"] * 3)[0]
         assert row.tolist() == [1.0]
 
     def test_tensor_product_value(self):
         mset = enumerate_hyperbolic(2, 2, 1.0)
-        row = eval_basis_row(mset, np.array([1.0, 1.0]), ["legendre"] * 2)
+        row = eval_basis_matrix(mset, np.array([1.0, 1.0]), ["legendre"] * 2)[0]
         k = [tuple(r) for r in mset.degrees].index((1, 1))
         assert row[k] == pytest.approx(3.0)
 
@@ -180,11 +180,12 @@ class TestBasisRows:
             rng.uniform(-1, 1, 4),
             rng.normal(size=4),
         )
-        row = eval_basis_row(mset, u, families)
+        row = eval_basis_matrix(mset, u, families)[0]
         for k, alpha in enumerate(mset.degrees):
             expected = 1.0
             for j, d in enumerate(alpha):
-                expected *= eval_orthonormal_1d(families[j], int(d), u[j])
+                table = eval_orthonormal_all(families[j], int(d), u[j])
+                expected *= table[..., int(d)]
             assert row[k] == pytest.approx(expected, abs=1e-14)
 
     def test_matrix_matches_rows(self):
@@ -194,12 +195,12 @@ class TestBasisRows:
         mat = eval_basis_matrix(mset, pts, ["legendre"] * 3)
         for i in range(6):
             assert np.allclose(
-                mat[i], eval_basis_row(mset, pts[i], ["legendre"] * 3)
+                mat[i], eval_basis_matrix(mset, pts[i], ["legendre"] * 3)[0]
             )
 
     def test_dimension_mismatch(self):
         mset = enumerate_hyperbolic(3, 2, 1.0)
         with pytest.raises(ValueError):
-            eval_basis_row(mset, np.zeros(2), ["legendre"] * 3)
+            eval_basis_matrix(mset, np.zeros(2), ["legendre"] * 3)
         with pytest.raises(ValueError):
             eval_basis_matrix(mset, np.zeros((4, 3)), ["legendre"] * 2)

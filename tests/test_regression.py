@@ -17,6 +17,8 @@ from pcesobol import (
     lhs,
     loo_error,
 )
+from pcesobol.regression import _hybrid_path
+from lar_reference import best_prefix, gram_lar_path
 
 
 def unit_rv(m):
@@ -76,13 +78,77 @@ class TestLarPath:
         order = lar_path(psi, y)
         assert len(order) <= 4
 
-    def test_max_terms_cap(self):
+    def test_path_ends_before_card_reaches_n(self):
         rng = np.random.default_rng(4)
-        psi = np.column_stack([np.ones(25), rng.normal(size=(25, 10))])
-        y = rng.normal(size=25)
-        assert len(lar_path(psi, y, max_terms=3)) == 3
-        with pytest.raises(ValueError):
-            lar_path(psi, y, max_terms=25)
+        psi = np.column_stack([np.ones(12), rng.normal(size=(12, 30))])
+        y = rng.normal(size=12)
+        assert len(lar_path(psi, y)) <= 10
+
+
+def lar_path_problems():
+    """The design matrices and responses of the LAR path tests above."""
+    rng = np.random.default_rng(0)
+    psi = np.column_stack([np.ones(40), rng.normal(size=(40, 5))])
+    yield psi, 2.0 * psi[:, 3]
+    rng = np.random.default_rng(1)
+    q = orthonormal_centered_columns(60, 8, rng)
+    y = q @ rng.normal(size=8) + 0.1 * rng.normal(size=60)
+    yield np.column_stack([np.ones(60), q]), y
+    rng = np.random.default_rng(2)
+    yield np.column_stack([np.ones(50), rng.normal(size=(50, 20))]), rng.normal(size=50)
+    rng = np.random.default_rng(3)
+    base = rng.normal(size=(30, 3))
+    y = base @ np.array([1.0, -2.0, 0.5])
+    yield np.column_stack([np.ones(30), base, base[:, 0]]), y
+    rng = np.random.default_rng(4)
+    yield np.column_stack([np.ones(12), rng.normal(size=(12, 30))]), rng.normal(size=12)
+
+
+class TestAgainstGramLar:
+    """The one-pass path against the Gram/Cholesky LAR and a separate
+    least-squares scan of its prefixes: same inclusion order, same
+    selected prefix."""
+
+    @pytest.mark.parametrize(
+        "psi,y",
+        list(lar_path_problems()),
+        ids=["correlated", "orthonormal", "random", "duplicate", "wide"],
+    )
+    def test_lar_path_problems(self, psi, y):
+        path = _hybrid_path(psi, y)
+        ref_order = gram_lar_path(psi, y)
+        assert path.order == ref_order[: len(path.order)]
+        ref_k, ref_beta = best_prefix(psi, y, ref_order)
+        assert path.best_k == ref_k
+        scale = np.abs(ref_beta).max()
+        assert np.allclose(path.coeffs, ref_beta, rtol=1e-9, atol=1e-9 * scale)
+
+    def test_random_hybrid_fits(self):
+        rng = np.random.default_rng(31)
+        for _ in range(30):
+            m = int(rng.integers(2, 6))
+            p, q = int(rng.integers(2, 6)), float(rng.choice([0.5, 0.8, 1.0]))
+            candidate = enumerate_hyperbolic(m, p, q)
+            n = int(rng.integers(15, 90))
+            rv = unit_rv(m)
+            design = lhs(n, rv, seed=int(rng.integers(1 << 30)))
+            u = rv.to_standard(design.points)
+            psi = eval_basis_matrix(candidate, u, rv.families)
+            size = min(len(candidate), 6)
+            rows = rng.choice(len(candidate), size=size, replace=False)
+            y = psi[:, rows] @ rng.normal(size=len(rows)) + 0.05 * rng.normal(size=n)
+
+            pce = hybrid_fit(candidate, design, y, rv)
+            order = lar_path(psi, y)
+            ref_order = gram_lar_path(psi, y)
+            assert order == ref_order[: len(order)]
+            ref_k, ref_beta = best_prefix(psi, y, ref_order)
+            fitted = dict(zip(map(tuple, pce.active_set.degrees), pce.coefficients))
+            ref_cols = [0] + ref_order[:ref_k]
+            assert set(fitted) == {tuple(candidate.degrees[c]) for c in ref_cols}
+            ref = np.array([fitted[tuple(candidate.degrees[c])] for c in ref_cols])
+            scale = np.abs(ref_beta).max()
+            assert np.allclose(ref, ref_beta, rtol=1e-8, atol=1e-8 * scale)
 
 
 class TestLooError:
@@ -119,23 +185,23 @@ class TestLooError:
 class TestCorrectedLoo:
     def test_zero_error_stays_zero(self):
         psi = np.column_stack([np.ones(20), np.linspace(-1, 1, 20)])
-        assert corrected_loo(0.0, 20, 2, psi) == 0.0
+        assert corrected_loo(0.0, psi) == 0.0
 
     def test_correction_factor_at_least_one(self):
         rng = np.random.default_rng(7)
         psi = np.column_stack([np.ones(50), rng.normal(size=(50, 4))])
-        assert corrected_loo(1.0, 50, 5, psi) >= 1.0
+        assert corrected_loo(1.0, psi) >= 1.0
 
     def test_factor_shrinks_with_sample_size(self):
         rng = np.random.default_rng(8)
         small = np.column_stack([np.ones(20), rng.normal(size=(20, 3))])
         big = np.column_stack([np.ones(2000), rng.normal(size=(2000, 3))])
-        assert corrected_loo(1.0, 2000, 4, big) < corrected_loo(1.0, 20, 4, small)
+        assert corrected_loo(1.0, big) < corrected_loo(1.0, small)
 
     def test_saturated_model_rejected(self):
         psi = np.eye(4)
         with pytest.raises(ValueError):
-            corrected_loo(0.5, 4, 4, psi)
+            corrected_loo(0.5, psi)
 
 
 def synthetic_sparse_truth(rng, n, m=4, p=4, q=0.8, n_terms=5, scale=1.0):
@@ -210,6 +276,17 @@ class TestHybridFit:
         rv, candidate, design, y, _, _ = synthetic_sparse_truth(rng, n=50)
         pce = hybrid_fit(candidate, design, y, rv)
         assert 0.0 < pce.sparsity_index <= 1.0
+
+    def test_non_finite_responses_name_their_rows(self):
+        rv = unit_rv(2)
+        design = lhs(30, rv, seed=4)
+        y = design.points[:, 0] ** 2
+        y[[4, 17]] = np.nan
+        candidate = enumerate_hyperbolic(2, 3, 1.0)
+        with pytest.raises(ValueError, match="rows 4, 17"):
+            hybrid_fit(candidate, design, y, rv)
+        with pytest.raises(ValueError, match="rows 4, 17"):
+            adaptive_fit(design, y, rv, range(1, 4), q=1.0)
 
     def test_too_few_points_rejected(self):
         rv = unit_rv(2)

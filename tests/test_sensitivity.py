@@ -7,7 +7,7 @@ from pcesobol import (
     RandomVector,
     SparsePce,
     adaptive_fit,
-    eval_orthonormal_1d,
+    eval_orthonormal_all,
     grouped_sums,
     lhs,
     moments,
@@ -196,7 +196,7 @@ class TestUnivariateEffect:
     def test_effect_values_match_basis(self, two_var_pce):
         grid = np.linspace(-1, 1, 9)
         eff = univariate_effect(two_var_pce, 0, grid)
-        expected = 3.0 * eval_orthonormal_1d("legendre", 1, grid)
+        expected = 3.0 * eval_orthonormal_all("legendre", 1, grid)[..., 1]
         assert np.allclose(eff.values, expected)
 
     def test_integrates_to_zero_against_marginal(self):
