@@ -14,9 +14,7 @@ from .model import (
     default_model,
     nominal_parameters,
     parameter_names,
-    petrofacies_kx,
     random_vector,
-    rotate_tensor,
     validate_parameters,
     LAYER_PROPERTIES,
 )
@@ -25,10 +23,8 @@ from .solver import (
     FlowField,
     MleField,
     OutflowBudget,
-    dispersion_tensor,
     evaluate,
     outflow_budget,
-    response_at_tz,
     solve_flow,
     solve_mle,
 )
@@ -44,15 +40,11 @@ __all__ = [
     "ModelParameters",
     "OutflowBudget",
     "default_model",
-    "dispersion_tensor",
     "evaluate",
     "nominal_parameters",
     "outflow_budget",
     "parameter_names",
-    "petrofacies_kx",
     "random_vector",
-    "response_at_tz",
-    "rotate_tensor",
     "solve_flow",
     "solve_mle",
     "validate_parameters",

@@ -76,21 +76,6 @@ class Layer:
         return 10.0 ** np.interp(phi, xs, ys)
 
 
-def petrofacies_kx(layer: Layer, phi):
-    """Module-level alias of :meth:`Layer.kx_from_phi`."""
-    return layer.kx_from_phi(phi)
-
-
-def rotate_tensor(kx: float, kz: float, theta_deg: float) -> np.ndarray:
-    """Conductivity tensor in global coordinates, R^T diag(kx, kz) R."""
-    t = np.deg2rad(theta_deg)
-    c, s = np.cos(t), np.sin(t)
-    kxx = c * c * kx + s * s * kz
-    kzz = s * s * kx + c * c * kz
-    kxz = c * s * (kx - kz)
-    return np.array([[kxx, kxz], [kxz, kzz]])
-
-
 @dataclass(frozen=True)
 class BoundarySegment:
     """A prescribed-head segment on one side of the domain."""
@@ -141,6 +126,10 @@ class CrossSectionModel:
         if c2 is not None:
             if not (c2.bottom <= self.tz_z[0] and self.tz_z[1] <= c2.top):
                 raise ValueError("target zone must lie inside layer C2")
+        if not self.tz_mask().any():
+            raise ValueError(
+                f"target zone x={self.tz_x}, z={self.tz_z} contains no cell centre"
+            )
 
     # -- grid ---------------------------------------------------------------
 

@@ -4,11 +4,21 @@ Cell-centered two-point flux discretization on the regular grid, with
 harmonic-mean face transmissivities for the diagonal tensor part.  The
 rotation- and dispersion-induced off-diagonal terms are built as a
 separate sparse correction operator (corner-interpolated tangential
-gradients, arithmetic face coefficients) and handled by deferred
-correction: Richardson iterations preconditioned with the factorized
-two-point matrix, falling back to one direct solve of the coupled
-operator if the iteration stalls.  Either way the returned field satisfies
-the full discrete system to a relative residual of 1e-10.
+gradients, sign-consistent minimum face coefficients) and handled by
+deferred correction: Richardson iterations preconditioned with the
+factorized two-point matrix, falling back to one direct solve of the
+coupled operator if the iteration stalls.  Either way the returned field
+satisfies the full discrete system to a relative residual of 1e-10.
+
+Both solves share one assembly, ``_operator``: interior faces couple their
+two cells by a diffusive transmissivity plus an upwinded advective rate
+(zero for flow), prescribed-head boundary cells add a diagonal term, and
+the off-diagonal tensor entry of each cell gives the correction operator.
+The per-cell tensors come from ``_conductivity`` and ``_dispersion``.
+What depends on the grid alone is computed once per model and cached in
+``_Geometry``, including the boundary map: each prescribed-head segment's
+boundary cells, face coordinates, half-cell geometry, and the slot and
+outward sign of its boundary face flux.
 
 The lifetime solver discretizes  div(q_r E) - div(D~ grad E) = phi  with
 q_r the reversed Darcy flux and D~ the effective macro-dispersion tensor
@@ -24,6 +34,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 import scipy.sparse as sp
@@ -68,29 +79,30 @@ class MleField:
     residual: float
 
 
-def dispersion_tensor(q, phi, alpha_l, alpha_t, d_m) -> np.ndarray:
-    """Effective macro-dispersion tensor for one flux vector.
-
-    Returns the porosity-dispersion product
-    ``(alpha_l - alpha_t) q (x) q / |q| + alpha_t |q| I + phi d_m I``;
-    at q = 0 this reduces to the molecular part ``phi d_m I``.
-    """
-    q = np.asarray(q, dtype=float)
-    out = phi * d_m * np.eye(2)
-    norm = float(np.hypot(q[0], q[1]))
-    if norm > 0.0:
-        out += (alpha_l - alpha_t) * np.outer(q, q) / norm
-        out += alpha_t * norm * np.eye(2)
-    return out
-
-
 # -- geometry-only sparse operators, cached per model -------------------------
 
 _GEOMETRY_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
+def _incidence(m: int) -> sp.dia_matrix:
+    """(m, m-1) cell-face incidence of a row of m cells: face j leaves cell j
+    (+1) and enters cell j+1 (-1)."""
+    return sp.diags([np.ones(m - 1), -np.ones(m - 1)], [0, -1], shape=(m, m - 1))
+
+
+def _difference(m: int, step: float) -> sp.csr_matrix:
+    """(m, m) cell-centred derivative along a row of m cells: central
+    differences inside, one-sided at the two ends."""
+    c = 1.0 / (2 * step)
+    d = sp.diags([np.full(m - 1, -c), np.full(m - 1, c)], [-1, 1], format="lil")
+    d[0, :2] = [-1.0 / step, 1.0 / step]
+    d[m - 1, m - 2:] = [-1.0 / step, 1.0 / step]
+    return d.tocsr()
+
+
 class _Geometry:
-    """Index bookkeeping and constant sparse operators for one grid."""
+    """Index bookkeeping, constant sparse operators and the boundary map
+    for one grid."""
 
     def __init__(self, model: CrossSectionModel):
         nz, nx = model.nz, model.nx
@@ -107,76 +119,68 @@ class _Geometry:
         self.zf_low = idx[:-1, :].ravel()
         self.zf_high = idx[1:, :].ravel()
 
-        self.grad_z = self._center_gradient(axis=0)
-        self.grad_x = self._center_gradient(axis=1)
-        # map cell-centered gradients to face averages
-        n_xf = self.xf_left.size
-        rows = np.repeat(np.arange(n_xf), 2)
-        cols = np.column_stack([self.xf_left, self.xf_right]).ravel()
-        avg_x = sp.csr_matrix(
-            (np.full(2 * n_xf, 0.5), (rows, cols)), shape=(n_xf, self.n)
-        )
-        n_zf = self.zf_low.size
-        rows = np.repeat(np.arange(n_zf), 2)
-        cols = np.column_stack([self.zf_low, self.zf_high]).ravel()
-        avg_z = sp.csr_matrix(
-            (np.full(2 * n_zf, 0.5), (rows, cols)), shape=(n_zf, self.n)
-        )
-        # tangential-gradient-at-face operators
-        self.face_tang_x = avg_x @ self.grad_z   # d/dz at x-faces
-        self.face_tang_z = avg_z @ self.grad_x   # d/dx at z-faces
-        # divergence: + outgoing through the high-side face
-        self.div_x = sp.csr_matrix(
-            (
-                np.concatenate([np.ones(n_xf), -np.ones(n_xf)]),
-                (
-                    np.concatenate([self.xf_left, self.xf_right]),
-                    np.concatenate([np.arange(n_xf), np.arange(n_xf)]),
-                ),
-            ),
-            shape=(self.n, n_xf),
-        )
-        self.div_z = sp.csr_matrix(
-            (
-                np.concatenate([np.ones(n_zf), -np.ones(n_zf)]),
-                (
-                    np.concatenate([self.zf_low, self.zf_high]),
-                    np.concatenate([np.arange(n_zf), np.arange(n_zf)]),
-                ),
-            ),
-            shape=(self.n, n_zf),
-        )
+        # divergence of face rates: + out of the low cell, - into the high one
+        ix, iz = sp.identity(nx), sp.identity(nz)
+        self.div_x = sp.kron(iz, _incidence(nx), format="csr")
+        self.div_z = sp.kron(_incidence(nz), ix, format="csr")
+        # tangential gradient at a face: mean of its two cells' gradients
+        grad_z = sp.kron(_difference(nz, self.dz), ix, format="csr")
+        grad_x = sp.kron(iz, _difference(nx, self.dx), format="csr")
+        self.face_tang_x = (0.5 * abs(self.div_x).T).tocsr() @ grad_z  # d/dz at x-faces
+        self.face_tang_z = (0.5 * abs(self.div_z).T).tocsr() @ grad_x  # d/dx at z-faces
+        self._boundary_map(model)
 
-    def _center_gradient(self, axis: int) -> sp.csr_matrix:
-        """Cell-centered gradient, central differences, one-sided at edges."""
-        nz, nx, idx = self.nz, self.nx, self.idx
-        step = self.dz if axis == 0 else self.dx
-        rows, cols, vals = [], [], []
-        size = nz if axis == 0 else nx
+    def _boundary_map(self, model: CrossSectionModel) -> None:
+        """One entry per (prescribed-head segment, boundary cell), in segment
+        order; ``segment_slices[k]`` selects segment k's entries.
 
-        def cells(k):
-            return idx[k, :] if axis == 0 else idx[:, k]
-
-        for k in range(size):
-            here = cells(k)
-            if 0 < k < size - 1:
-                rows += [here, here]
-                cols += [cells(k + 1), cells(k - 1)]
-                coef = 1.0 / (2 * step)
-                vals += [np.full(here.size, coef), np.full(here.size, -coef)]
+        ``bnd_slot`` indexes the boundary face in the face-flux vector
+        ``[flux_x.ravel(), flux_z.ravel()]`` and ``bnd_out`` is +1 where a
+        positive rate there leaves the domain, -1 where it enters.  The
+        half-cell transmissivity of an entry is the tensor's normal entry
+        times ``bnd_length / bnd_half``, applied as two operations: one
+        premultiplied factor would round differently.
+        """
+        nz, nx = self.nz, self.nx
+        x, z = model.x_centers(), model.z_centers()
+        n_fx = nz * (nx + 1)
+        cells, coords, slots = [], [], []
+        for segment in model.segments:
+            lo, hi = segment.span
+            if segment.side in ("left", "right"):
+                rows = np.nonzero((z >= lo) & (z <= hi))[0]
+                col = nx - 1 if segment.side == "right" else 0
+                cells.append(self.idx[rows, col])
+                coords.append(z[rows])
+                slots.append(rows * (nx + 1) + (nx if segment.side == "right" else 0))
             else:
-                other = cells(1 if k == 0 else size - 2)
-                sign = 1.0 if k == 0 else -1.0
-                rows += [here, here]
-                cols += [other, here]
-                vals += [
-                    np.full(here.size, sign / step),
-                    np.full(here.size, -sign / step),
-                ]
-        rows = np.concatenate(rows)
-        cols = np.concatenate(cols)
-        vals = np.concatenate(vals)
-        return sp.csr_matrix((vals, (rows, cols)), shape=(self.n, self.n))
+                cols = np.nonzero((x >= lo) & (x <= hi))[0]
+                row = nz - 1 if segment.side == "top" else 0
+                cells.append(self.idx[row, cols])
+                coords.append(x[cols])
+                slots.append(n_fx + (nz * nx if segment.side == "top" else 0) + cols)
+        ends = list(accumulate((c.size for c in cells), initial=0))
+        self.segment_slices = [slice(a, b) for a, b in zip(ends, ends[1:])]
+        side = np.repeat([s.side for s in model.segments], np.diff(ends))
+        self.bnd_cells = np.concatenate(cells)
+        self.bnd_coords = np.concatenate(coords)
+        self.bnd_slot = np.concatenate(slots)
+        self.bnd_out = np.where((side == "right") | (side == "top"), 1.0, -1.0)
+        self.bnd_normal_x = (side == "left") | (side == "right")
+        self.bnd_length = np.where(self.bnd_normal_x, self.dz, self.dx)
+        self.bnd_half = np.where(self.bnd_normal_x, self.dx / 2.0, self.dz / 2.0)
+
+    def boundary_t(self, cxx, czz) -> np.ndarray:
+        """Half-cell transmissivity of each boundary entry for a cell tensor
+        with diagonal ``(cxx, czz)``."""
+        cells = self.bnd_cells
+        normal = np.where(self.bnd_normal_x, cxx.ravel()[cells], czz.ravel()[cells])
+        return normal * self.bnd_length / self.bnd_half
+
+    def boundary_outflow(self, flow: FlowField) -> np.ndarray:
+        """Outward rate through each boundary entry's face."""
+        faces = np.concatenate([flow.flux_x.ravel(), flow.flux_z.ravel()])
+        return self.bnd_out * faces[self.bnd_slot]
 
 
 def _geometry(model: CrossSectionModel) -> _Geometry:
@@ -192,30 +196,49 @@ def _harmonic(a, b):
     return np.where(s > 0.0, 2.0 * a * b / np.where(s > 0.0, s, 1.0), 0.0)
 
 
-def _cell_property(model, geo, per_layer) -> np.ndarray:
-    return np.asarray(per_layer, dtype=float)[model.layer_index_by_row()][:, None] * np.ones(
-        (1, geo.nx)
+def _cell_property(model, per_layer) -> np.ndarray:
+    """One value per layer, broadcast to the (nz, nx) grid."""
+    by_row = np.asarray(per_layer, dtype=float)[model.layer_index_by_row()]
+    return by_row[:, None] * np.ones((1, model.nx))
+
+
+def _conductivity(model: CrossSectionModel, params: ModelParameters):
+    """Per-cell conductivity tensor ``(kxx, kzz, kxz)``, each (nz, nx).
+
+    Each layer's principal values ``(kx, kz)`` come from its petrofacies map
+    and anisotropy ratio; the tensor is ``R^T diag(kx, kz) R`` for the
+    layer's Euler angle.
+    """
+    kx = np.array([lay.kx_from_phi(p) for lay, p in zip(model.layers, params.phi)])
+    kz = kx * params.anisotropy_k
+    t_rad = np.deg2rad(params.theta_deg)
+    c2, s2 = np.cos(t_rad) ** 2, np.sin(t_rad) ** 2
+    cs = np.cos(t_rad) * np.sin(t_rad)
+    return (
+        _cell_property(model, c2 * kx + s2 * kz),
+        _cell_property(model, s2 * kx + c2 * kz),
+        _cell_property(model, cs * (kx - kz)),
     )
 
 
-def _boundary_faces(model: CrossSectionModel, geo: _Geometry, segment):
-    """Cells and face-center coordinates of one prescribed-head segment."""
-    x, z = model.x_centers(), model.z_centers()
-    lo, hi = segment.span
-    if segment.side in ("left", "right"):
-        rows = np.nonzero((z >= lo) & (z <= hi))[0]
-        col = 0 if segment.side == "left" else geo.nx - 1
-        return geo.idx[rows, col], z[rows]
-    cols = np.nonzero((x >= lo) & (x <= hi))[0]
-    row = geo.nz - 1 if segment.side == "top" else 0
-    return geo.idx[row, cols], x[cols]
+def _dispersion(model: CrossSectionModel, params: ModelParameters, qx, qz):
+    """Per-cell macro-dispersion tensor ``(dxx, dzz, dxz)`` for the cell
+    flux densities ``(qx, qz)``, each (nz, nx).
 
-
-def _half_cell_t(model, side, normal_coeff, cells):
-    flat = normal_coeff.ravel()[cells]
-    if side in ("left", "right"):
-        return flat * model.dz / (model.dx / 2.0)
-    return flat * model.dx / (model.dz / 2.0)
+    The porosity-dispersion product
+    ``(alpha_l - alpha_t) q (x) q / |q| + alpha_t |q| I + phi d_m I``;
+    at q = 0 this reduces to the molecular part ``phi d_m I``.
+    """
+    phi = _cell_property(model, params.phi)
+    alpha_l = _cell_property(model, params.alpha_l)
+    alpha_t = alpha_l * _cell_property(model, params.anisotropy_a)
+    qn = np.hypot(qx, qz)
+    safe = np.where(qn > 0.0, qn, 1.0)
+    d_mol = phi * model.d_m
+    dxx = (alpha_l - alpha_t) * qx * qx / safe + alpha_t * qn + d_mol
+    dzz = (alpha_l - alpha_t) * qz * qz / safe + alpha_t * qn + d_mol
+    dxz = (alpha_l - alpha_t) * qx * qz / safe
+    return dxx, dzz, dxz
 
 
 def _face_cross_coef(left, right):
@@ -232,15 +255,42 @@ def _face_cross_coef(left, right):
     return np.where(same_sign, np.sign(left) * mag, 0.0)
 
 
-def _cross_operator(geo, coef_xface, coef_zface):
-    """Divergence of the off-diagonal (tangential-gradient) face fluxes.
+def _operator(geo: _Geometry, transmissivity, rate, bnd_diag, cross_field):
+    """Assemble one solve's two-point operator and off-diagonal correction.
 
-    Face flux contribution: -coef * (tangential gradient) * face length,
-    assembled as one sparse operator acting on the cell vector.
+    ``transmissivity`` and ``rate`` are (x-faces, z-faces) pairs over the
+    interior faces: the diffusive coupling, and the advective rate from the
+    low to the high cell, upwinded (flow passes zero rates).  ``bnd_diag``
+    is each boundary entry's diagonal term and ``cross_field`` the (nz, nx)
+    off-diagonal tensor entry.  Returns ``(a_main, cross, cross_flux)``:
+    ``cross`` is the correction operator and ``cross_flux`` the pair of
+    operators giving its x- and z-face rates from a cell vector, both None
+    when the field vanishes.
     """
-    cx = sp.diags(-coef_xface * geo.dz) @ geo.face_tang_x
-    cz = sp.diags(-coef_zface * geo.dx) @ geo.face_tang_z
-    return (geo.div_x @ cx + geo.div_z @ cz).tocsr()
+    rows, cols, vals = [], [], []
+    faces = ((geo.xf_left, geo.xf_right), (geo.zf_low, geo.zf_high))
+    for (low, high), t, r in zip(faces, transmissivity, rate):
+        up = np.clip(r, 0.0, None)      # from low to high
+        down = np.clip(-r, 0.0, None)   # from high to low
+        rows += [low, low, high, high]
+        cols += [low, high, high, low]
+        vals += [t + up, -(t + down), t + down, -(t + up)]
+    rows.append(geo.bnd_cells)
+    cols.append(geo.bnd_cells)
+    vals.append(bnd_diag)
+    a_main = sp.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(geo.n, geo.n),
+    )
+    if not np.any(cross_field != 0.0):
+        return a_main, None, None
+    # face rate of the off-diagonal term: -coef * tangential gradient * face length
+    coef_x = _face_cross_coef(cross_field[:, :-1], cross_field[:, 1:]).ravel()
+    coef_z = _face_cross_coef(cross_field[:-1, :], cross_field[1:, :]).ravel()
+    flux_x = sp.diags(-coef_x * geo.dz) @ geo.face_tang_x
+    flux_z = sp.diags(-coef_z * geo.dx) @ geo.face_tang_z
+    cross = (geo.div_x @ flux_x + geo.div_z @ flux_z).tocsr()
+    return a_main, cross, (flux_x, flux_z)
 
 
 def _solve_linear(a_main, cross, b, context: str):
@@ -289,22 +339,7 @@ def solve_flow(model: CrossSectionModel, params: ModelParameters) -> FlowField:
     """
     geo = _geometry(model)
     nz, nx, n = geo.nz, geo.nx, geo.n
-
-    layer_row = model.layer_index_by_row()
-    kx_layer = np.array(
-        [lay.kx_from_phi(p) for lay, p in zip(model.layers, params.phi)]
-    )
-    kz_layer = kx_layer * params.anisotropy_k
-    t_rad = np.deg2rad(params.theta_deg)
-    c2, s2 = np.cos(t_rad) ** 2, np.sin(t_rad) ** 2
-    cs = np.cos(t_rad) * np.sin(t_rad)
-    kxx_layer = c2 * kx_layer + s2 * kz_layer
-    kzz_layer = s2 * kx_layer + c2 * kz_layer
-    kxz_layer = cs * (kx_layer - kz_layer)
-
-    kxx = kxx_layer[layer_row][:, None] * np.ones((1, nx))
-    kzz = kzz_layer[layer_row][:, None] * np.ones((1, nx))
-    kxz = kxz_layer[layer_row][:, None] * np.ones((1, nx))
+    kxx, kzz, kxz = _conductivity(model, params)
 
     # two-point transmissivities
     tx = _harmonic(kxx[:, :-1], kxx[:, 1:]).ravel() * geo.dz / geo.dx
@@ -312,73 +347,37 @@ def solve_flow(model: CrossSectionModel, params: ModelParameters) -> FlowField:
     if np.any(tx < 0.0) or np.any(tz < 0.0) or np.any(kxx <= 0) or np.any(kzz <= 0):
         raise RuntimeError("non-SPD assembly: negative transmissivity")
 
-    rows, cols, vals = [], [], []
-    b = np.zeros(n)
-
-    def couple(ca, cb, t):
-        rows.extend([ca, cb, ca, cb])
-        cols.extend([ca, cb, cb, ca])
-        vals.extend([t, t, -t, -t])
-
-    couple(geo.xf_left, geo.xf_right, tx)
-    couple(geo.zf_low, geo.zf_high, tz)
-
-    dirichlet = []  # (segment, cells, T, heads)
-    for segment in model.segments:
-        cells, coords = _boundary_faces(model, geo, segment)
-        if cells.size == 0:
-            continue
-        coeff = kxx if segment.side in ("left", "right") else kzz
-        t_b = _half_cell_t(model, segment.side, coeff, cells)
+    t_b = geo.boundary_t(kxx, kzz)
+    heads = np.empty(geo.bnd_cells.size)
+    for segment, sl in zip(model.segments, geo.segment_slices):
         grad = params.gradients.get(segment.zone)
+        coords = geo.bnd_coords[sl]
         if grad is None:
-            heads = model.segment_heads(segment, coords)
+            heads[sl] = model.segment_heads(segment, coords)
         else:
-            heads = model.segment_heads_with_gradient(segment, coords, grad)
-        rows.extend([cells])
-        cols.extend([cells])
-        vals.extend([t_b])
-        np.add.at(b, cells, t_b * heads)
-        dirichlet.append((segment, cells, t_b, heads))
+            heads[sl] = model.segment_heads_with_gradient(segment, coords, grad)
+    b = np.zeros(n)
+    np.add.at(b, geo.bnd_cells, t_b * heads)
 
-    rows = np.concatenate([np.asarray(r).ravel() for r in rows])
-    cols = np.concatenate([np.asarray(c).ravel() for c in cols])
-    vals = np.concatenate([np.asarray(v).ravel() for v in vals])
-    a_main = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    a_main, cross, cross_flux = _operator(geo, (tx, tz), (0.0, 0.0), t_b, kxz)
     if np.any(a_main.diagonal() <= 0.0):
         raise RuntimeError("non-SPD assembly: nonpositive diagonal")
-
-    if np.any(kxz != 0.0):
-        kxz_xf = _face_cross_coef(kxz[:, :-1], kxz[:, 1:]).ravel()
-        kxz_zf = _face_cross_coef(kxz[:-1, :], kxz[1:, :]).ravel()
-        cross = _cross_operator(geo, kxz_xf, kxz_zf)
-    else:
-        cross = None
 
     h_vec, resid = _solve_linear(a_main, cross, b, "flow")
     head = h_vec.reshape(nz, nx)
 
-    # conservative face rates (m^2/s per unit width), + in +x / +z
-    flux_x = np.zeros((nz, nx + 1))
-    flux_z = np.zeros((nz + 1, nx))
+    # conservative face rates (m^2/s per unit width), + in +x / +z, laid
+    # out as the face-flux vector the boundary map indexes
+    n_fx = nz * (nx + 1)
+    faces = np.zeros(n_fx + (nz + 1) * nx)
+    flux_x = faces[:n_fx].reshape(nz, nx + 1)
+    flux_z = faces[n_fx:].reshape(nz + 1, nx)
     flux_x[:, 1:-1] = (tx.reshape(nz, nx - 1)) * (head[:, :-1] - head[:, 1:])
     flux_z[1:-1, :] = (tz.reshape(nz - 1, nx)) * (head[:-1, :] - head[1:, :])
-    if cross is not None:
-        fx_cross = sp.diags(-kxz_xf * geo.dz) @ geo.face_tang_x @ h_vec
-        fz_cross = sp.diags(-kxz_zf * geo.dx) @ geo.face_tang_z @ h_vec
-        flux_x[:, 1:-1] += fx_cross.reshape(nz, nx - 1)
-        flux_z[1:-1, :] += fz_cross.reshape(nz - 1, nx)
-    for segment, cells, t_b, heads in dirichlet:
-        inflow = t_b * (heads - h_vec[cells])  # positive into the domain
-        zi, xi = np.unravel_index(cells, (nz, nx))
-        if segment.side == "left":
-            flux_x[zi, 0] = inflow
-        elif segment.side == "right":
-            flux_x[zi, nx] = -inflow
-        elif segment.side == "top":
-            flux_z[nz, xi] = -inflow
-        else:
-            flux_z[0, xi] = inflow
+    if cross_flux is not None:
+        flux_x[:, 1:-1] += (cross_flux[0] @ h_vec).reshape(nz, nx - 1)
+        flux_z[1:-1, :] += (cross_flux[1] @ h_vec).reshape(nz - 1, nx)
+    faces[geo.bnd_slot] = geo.bnd_out * (t_b * (h_vec[geo.bnd_cells] - heads))
 
     return FlowField(head=head, flux_x=flux_x, flux_z=flux_z, residual=resid)
 
@@ -401,21 +400,12 @@ def outflow_budget(flow: FlowField, model: CrossSectionModel) -> OutflowBudget:
     imbalance is |total in - total out| relative to the total in.
     """
     geo = _geometry(model)
+    signed_out = geo.boundary_outflow(flow)
     out_by_group: dict = {}
     total_in = total_out = 0.0
-    for segment in model.segments:
-        cells, _ = _boundary_faces(model, geo, segment)
-        zi, xi = np.unravel_index(cells, (geo.nz, geo.nx))
-        if segment.side == "left":
-            signed_out = -flow.flux_x[zi, 0]
-        elif segment.side == "right":
-            signed_out = flow.flux_x[zi, geo.nx]
-        elif segment.side == "top":
-            signed_out = flow.flux_z[geo.nz, xi]
-        else:
-            signed_out = -flow.flux_z[0, xi]
-        out = float(np.sum(np.clip(signed_out, 0.0, None)))
-        inn = float(np.sum(np.clip(-signed_out, 0.0, None)))
+    for segment, sl in zip(model.segments, geo.segment_slices):
+        out = float(np.sum(np.clip(signed_out[sl], 0.0, None)))
+        inn = float(np.sum(np.clip(-signed_out[sl], 0.0, None)))
         out_by_group[segment.group] = out_by_group.get(segment.group, 0.0) + out
         total_out += out
         total_in += inn
@@ -437,72 +427,25 @@ def solve_mle(
     The result is reported in years.
     """
     geo = _geometry(model)
-    nz, nx, n = geo.nz, geo.nx, geo.n
-
-    phi = _cell_property(model, geo, params.phi)
-    alpha_l = _cell_property(model, geo, params.alpha_l)
-    alpha_t = alpha_l * _cell_property(model, geo, params.anisotropy_a)
+    nz, nx = geo.nz, geo.nx
 
     # cell-centered flux densities from the conservative face rates
     qx = 0.5 * (flow.flux_x[:, :-1] + flow.flux_x[:, 1:]) / geo.dz
     qz = 0.5 * (flow.flux_z[:-1, :] + flow.flux_z[1:, :]) / geo.dx
-    qn = np.hypot(qx, qz)
-    safe = np.where(qn > 0.0, qn, 1.0)
-    d_mol = phi * model.d_m
-    dxx = (alpha_l - alpha_t) * qx * qx / safe + alpha_t * qn + d_mol
-    dzz = (alpha_l - alpha_t) * qz * qz / safe + alpha_t * qn + d_mol
-    dxz = (alpha_l - alpha_t) * qx * qz / safe
+    dxx, dzz, dxz = _dispersion(model, params, qx, qz)
 
     tdx = _harmonic(dxx[:, :-1], dxx[:, 1:]).ravel() * geo.dz / geo.dx
     tdz = _harmonic(dzz[:-1, :], dzz[1:, :]).ravel() * geo.dx / geo.dz
-
     # reversed advective rates on interior faces
     adv_x = -flow.flux_x[:, 1:-1].ravel()
     adv_z = -flow.flux_z[1:-1, :].ravel()
+    # the reversed rate leaves where the flow enters
+    bnd_diag = geo.boundary_t(dxx, dzz) + np.clip(
+        -geo.boundary_outflow(flow), 0.0, None
+    )
+    a_main, cross, _ = _operator(geo, (tdx, tdz), (adv_x, adv_z), bnd_diag, dxz)
 
-    rows, cols, vals = [], [], []
-
-    def face_terms(low, high, diff_t, rate):
-        up = np.clip(rate, 0.0, None)      # from low to high
-        down = np.clip(-rate, 0.0, None)   # from high to low
-        rows.extend([low, low, high, high])
-        cols.extend([low, high, high, low])
-        vals.extend([diff_t + up, -(diff_t + down), diff_t + down, -(diff_t + up)])
-
-    face_terms(geo.xf_left, geo.xf_right, tdx, adv_x)
-    face_terms(geo.zf_low, geo.zf_high, tdz, adv_z)
-
-    for segment in model.segments:
-        cells, _ = _boundary_faces(model, geo, segment)
-        if cells.size == 0:
-            continue
-        zi, xi = np.unravel_index(cells, (nz, nx))
-        if segment.side == "left":
-            rate_out = flow.flux_x[zi, 0]      # reversed rate leaving = -(-Fx)
-        elif segment.side == "right":
-            rate_out = -flow.flux_x[zi, nx]
-        elif segment.side == "top":
-            rate_out = -flow.flux_z[nz, xi]
-        else:
-            rate_out = flow.flux_z[0, xi]
-        coeff = dxx if segment.side in ("left", "right") else dzz
-        t_b = _half_cell_t(model, segment.side, coeff, cells)
-        rows.extend([cells])
-        cols.extend([cells])
-        vals.extend([t_b + np.clip(rate_out, 0.0, None)])
-
-    rows = np.concatenate([np.asarray(r).ravel() for r in rows])
-    cols = np.concatenate([np.asarray(c).ravel() for c in cols])
-    vals = np.concatenate([np.asarray(v).ravel() for v in vals])
-    a_main = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
-
-    if np.any(dxz != 0.0):
-        dxz_xf = _face_cross_coef(dxz[:, :-1], dxz[:, 1:]).ravel()
-        dxz_zf = _face_cross_coef(dxz[:-1, :], dxz[1:, :]).ravel()
-        cross = _cross_operator(geo, dxz_xf, dxz_zf)
-    else:
-        cross = None
-
+    phi = _cell_property(model, params.phi)
     b = (phi * geo.dx * geo.dz).ravel()
     e_vec, resid = _solve_linear(a_main, cross, b, "lifetime")
 
@@ -512,18 +455,8 @@ def solve_mle(
             "negative lifetime beyond tolerance: discretization violation"
         )
     e_years = np.clip(e_vec, 0.0, None).reshape(nz, nx) / model.seconds_per_year
-
-    mask = model.tz_mask()
-    response = float(e_years[mask].mean()) if mask.any() else float("nan")
+    response = float(e_years[model.tz_mask()].mean())
     return MleField(e_years=e_years, response=response, residual=resid)
-
-
-def response_at_tz(mle: MleField, model: CrossSectionModel) -> float:
-    """Unweighted mean of E over cells whose centers lie in the target zone."""
-    mask = model.tz_mask()
-    if not mask.any():
-        raise ValueError("no cell centers inside the target zone")
-    return float(mle.e_years[mask].mean())
 
 
 def evaluate(params, model: CrossSectionModel | None = None) -> float:

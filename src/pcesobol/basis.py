@@ -117,11 +117,6 @@ class MultiIndexSet:
     def total_degrees(self) -> np.ndarray:
         return self.degrees.sum(axis=1)
 
-    def issubset(self, other: "MultiIndexSet") -> bool:
-        mine = {tuple(row) for row in self.degrees}
-        theirs = {tuple(row) for row in other.degrees}
-        return mine <= theirs
-
     def to_sparse_pairs(self) -> list:
         """Rows as lists of (coordinate, degree) pairs, zero entries elided."""
         out = []

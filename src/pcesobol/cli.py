@@ -63,6 +63,9 @@ class ConfigError(ValueError):
     pass
 
 
+_JOURNAL_FORMAT = "pcesobol-journal/1"
+
+
 def _merge(defaults, overrides):
     out = dict(defaults)
     for key, value in (overrides or {}).items():
@@ -201,11 +204,57 @@ def _external_row(command, workdir: Path, index: int, names, params):
     return value, ""
 
 
+def journal_header(design: ExperimentalDesign, model_cfg: dict) -> str:
+    """First line of an evaluation journal: a sha256 of the design points
+    and of the model settings other than ``workers``, which changes where
+    rows run but not their values."""
+    settings = {k: v for k, v in model_cfg.items() if k != "workers"}
+    points = np.ascontiguousarray(design.points, dtype=float)
+    digest = hashlib.sha256(repr(points.shape).encode())
+    digest.update(points.tobytes())
+    digest.update(json.dumps(settings, sort_keys=True, default=str).encode())
+    return f"{_JOURNAL_FORMAT} {digest.hexdigest()}\n"
+
+
+def _read_journal(journal: Path, header: str) -> dict:
+    """Completed rows ``{index: value}`` of a journal written under ``header``.
+
+    A line cut off before its newline, or one that does not parse as
+    ``index,value``, is dropped, so its row runs again; a cut-off tail is
+    also removed from the file, so that appended lines start on their own.
+    """
+    data = journal.read_bytes() if journal.exists() else b""
+    cut = data.rfind(b"\n") + 1
+    if cut == 0:  # no complete header line, so no row was recorded
+        journal.write_text(header)
+        return {}
+    first, _, body = data[:cut].decode("ascii", errors="replace").partition("\n")
+    if first + "\n" != header:
+        raise ConfigError(
+            f"{journal}: journal was written for another design or model;"
+            " remove it to evaluate this design"
+        )
+    if cut < len(data):
+        with open(journal, "r+b") as fh:
+            fh.truncate(cut)
+    done = {}
+    for line in body.splitlines():
+        index, _, value = line.partition(",")
+        try:
+            done[int(index)] = float(value)
+        except ValueError:
+            continue
+    return done
+
+
 def cmd_evaluate(cfg, design_path, out: Path | None = None) -> Path:
     """Evaluate the model at every design row, resumably.
 
-    Completed rows are journaled to ``responses.partial.csv`` as they
-    finish; a re-run recomputes only rows without a recorded success.
+    Completed rows are journaled to ``<design>.partial.csv`` as they
+    finish; a re-run recomputes only rows without a recorded success.  The
+    journal's first line binds it to the design points and the model
+    settings (see ``journal_header``); a journal written for other inputs
+    is refused with ``ConfigError``.
     Failures are recorded per row (NaN in the final column) and reported
     at the end.
     """
@@ -214,13 +263,7 @@ def cmd_evaluate(cfg, design_path, out: Path | None = None) -> Path:
     journal = outdir / (Path(design_path).stem + ".partial.csv")
     final = outdir / (Path(design_path).stem + ".responses.csv")
 
-    done: dict = {}
-    if journal.exists():
-        for line in journal.read_text().splitlines():
-            if not line.strip():
-                continue
-            idx, value = line.split(",")[:2]
-            done[int(idx)] = float(value)
+    done = _read_journal(journal, journal_header(design, cfg["model"]))
     todo = [i for i in range(design.n) if i not in done]
 
     failures = []

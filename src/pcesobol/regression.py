@@ -43,6 +43,7 @@ _LEVERAGE_TOL = 1e-10   # h_i >= 1 - tol means the fit memorizes point i
 
 ORIGINAL = "original"
 LOG = "log"
+_PCE_FORMAT = "pcesobol.sparse-pce/1"
 
 
 @dataclass
@@ -93,7 +94,7 @@ class SparsePce:
 
     def to_dict(self) -> dict:
         return {
-            "format": "pcesobol.sparse-pce/1",
+            "format": _PCE_FORMAT,
             "random_vector": [
                 {"name": n, "kind": marg.kind, "a": marg.a, "b": marg.b}
                 for n, marg in zip(
@@ -123,6 +124,11 @@ class SparsePce:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SparsePce":
+        tag = doc.get("format")
+        if tag != _PCE_FORMAT:
+            raise ValueError(
+                f"unsupported PCE format tag {tag!r}; expected {_PCE_FORMAT!r}"
+            )
         names = [e["name"] for e in doc["random_vector"]]
         margs = [Marginal(e["kind"], e["a"], e["b"]) for e in doc["random_vector"]]
         rv = RandomVector(tuple(names), tuple(margs))

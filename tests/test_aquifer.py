@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,9 @@ from pcesobol.aquifer import (
     CrossSectionModel,
     Layer,
     ModelParameters,
+    solver,
 )
+from aquifer_reference import dispersion_tensor, rotate_tensor
 
 SECONDS_PER_YEAR = 3.15576e7
 
@@ -89,72 +93,146 @@ def plain_params(model, phi=0.1, alpha_l=0.0, alpha_a=1.0, a_k=1.0, theta=0.0):
 class TestPetrofacies:
     def test_d4_anchor_values(self):
         d4 = aq.default_model().layer_named("D4")
-        assert aq.petrofacies_kx(d4, 0.0905) == pytest.approx(1.65e-5, rel=1e-12)
-        assert aq.petrofacies_kx(d4, 0.0237) == pytest.approx(1.6408e-7, rel=1e-12)
-        assert aq.petrofacies_kx(d4, 0.1573) == pytest.approx(3.1521e-3, rel=1e-12)
+        assert d4.kx_from_phi(0.0905) == pytest.approx(1.65e-5, rel=1e-12)
+        assert d4.kx_from_phi(0.0237) == pytest.approx(1.6408e-7, rel=1e-12)
+        assert d4.kx_from_phi(0.1573) == pytest.approx(3.1521e-3, rel=1e-12)
 
     def test_midpoint_is_geometric_mean(self):
         d4 = aq.default_model().layer_named("D4")
         mid = 0.5 * (0.0237 + 0.0905)
         expected = np.sqrt(1.6408e-7 * 1.65e-5)
-        assert aq.petrofacies_kx(d4, mid) == pytest.approx(expected, rel=1e-12)
+        assert d4.kx_from_phi(mid) == pytest.approx(expected, rel=1e-12)
 
     def test_out_of_bounds_rejected(self):
         d4 = aq.default_model().layer_named("D4")
         with pytest.raises(ValueError):
-            aq.petrofacies_kx(d4, 0.01)
+            d4.kx_from_phi(0.01)
 
     def test_monotone_over_every_layer(self):
         for lay in aq.default_model().layers:
             phis = np.linspace(lay.phi_range[0], lay.phi_range[1], 41)
-            ks = aq.petrofacies_kx(lay, phis)
+            ks = lay.kx_from_phi(phis)
             assert np.all(np.diff(ks) >= 0), lay.name
 
 
+def cell_conductivity(kx, kz, theta):
+    """The solver's per-cell conductivity tensors, shape (nz, nx, 2, 2), on a
+    stack of one-row layers, grid row i carrying entry i of the given
+    principal values and angles, and each row's kx as the solver reads it
+    from the petrofacies map."""
+    kx, kz, theta = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (kx, kz, theta))
+    n = kx.size
+    layers = tuple(  # listed top first; grid rows count from the bottom
+        Layer(f"L{i}", float(i + 1), float(i), 0.1, k, (0.0999, 0.1001), (k, k))
+        for i, k in reversed(list(enumerate(kx)))
+    )
+    model = slab_model(nx=3, nz=n, length=3.0, height=float(n), layers=layers)
+    params = plain_params(model)
+    params.anisotropy_k = (kz / kx)[::-1]
+    params.theta_deg = theta[::-1]
+    kxx, kzz, kxz = solver._conductivity(model, params)
+    kx_used = np.array([lay.kx_from_phi(0.1) for lay in reversed(layers)])
+    cells = np.stack([np.stack([kxx, kxz], -1), np.stack([kxz, kzz], -1)], -1)
+    return cells, kx_used
+
+
+def assert_cells_match_rotation(kx, kz, theta):
+    cells, kx_used = cell_conductivity(kx, kz, theta)
+    a_k, theta = (np.broadcast_to(v, kx_used.shape) for v in (np.divide(kz, kx), theta))
+    for row, (k, a, t) in enumerate(zip(kx_used, a_k, theta)):
+        oracle = rotate_tensor(k, k * a, t)
+        assert np.allclose(cells[row], oracle, rtol=1e-14, atol=0.0)
+    return cells
+
+
 class TestRotateTensor:
+    """The solver's per-cell conductivity tensors against ``rotate_tensor``."""
+
     def test_zero_angle(self):
-        assert np.allclose(aq.rotate_tensor(2.0, 0.5, 0.0), np.diag([2.0, 0.5]))
+        assert np.allclose(rotate_tensor(2.0, 0.5, 0.0), np.diag([2.0, 0.5]))
+        cells = assert_cells_match_rotation(2.0, 0.5, 0.0)
+        assert np.allclose(cells, np.diag([2.0, 0.5]))
 
     def test_ninety_degrees_swaps(self):
         assert np.allclose(
-            aq.rotate_tensor(2.0, 0.5, 90.0), np.diag([0.5, 2.0]), atol=1e-12
+            rotate_tensor(2.0, 0.5, 90.0), np.diag([0.5, 2.0]), atol=1e-12
         )
+        cells = assert_cells_match_rotation(2.0, 0.5, 90.0)
+        assert np.allclose(cells, np.diag([0.5, 2.0]), atol=1e-12)
 
     def test_thirty_degree_xx_component(self):
-        k = aq.rotate_tensor(1.0, 0.1, 30.0)
+        k = rotate_tensor(1.0, 0.1, 30.0)
         assert k[0, 0] == pytest.approx(0.775)
         assert k[0, 1] == pytest.approx(k[1, 0])
+        cells = assert_cells_match_rotation(1.0, 0.1, 30.0)
+        assert np.allclose(cells[..., 0, 0], 0.775)
+        assert np.array_equal(cells[..., 0, 1], cells[..., 1, 0])
 
     def test_eigenvalues_and_determinant_preserved(self):
         rng = np.random.default_rng(4)
-        for _ in range(20):
-            kx, kz = rng.uniform(0.1, 5.0, 2)
-            theta = rng.uniform(-90, 90)
-            k = aq.rotate_tensor(kx, kz, theta)
+        draws = [(*rng.uniform(0.1, 5.0, 2), rng.uniform(-90, 90)) for _ in range(20)]
+        for a, b, t in draws:
+            k = rotate_tensor(a, b, t)
             eig = np.sort(np.linalg.eigvalsh(k))
-            assert np.allclose(eig, np.sort([kx, kz]))
-            assert np.linalg.det(k) == pytest.approx(kx * kz)
+            assert np.allclose(eig, np.sort([a, b]))
+            assert np.linalg.det(k) == pytest.approx(a * b)
+        kx, kz, theta = np.array(draws).T
+        cells = assert_cells_match_rotation(kx, kz, theta)
+        for row, (a, b) in enumerate(zip(kx, kz)):
+            for cell in cells[row]:
+                assert np.allclose(np.sort(np.linalg.eigvalsh(cell)), np.sort([a, b]))
+                assert np.linalg.det(cell) == pytest.approx(a * b)
+
+
+def cell_dispersion(qx, qz, phi, alpha_l, alpha_t, d_m):
+    """The solver's per-cell dispersion tensors, shape (nz, nx, 2, 2), for
+    cell flux densities ``qx``, ``qz`` of shape (4, 5)."""
+    model = slab_model(nx=5, nz=4, length=5.0, height=4.0, d_m=d_m)
+    params = plain_params(model, phi=phi, alpha_l=alpha_l, alpha_a=alpha_t / alpha_l)
+    dxx, dzz, dxz = solver._dispersion(model, params, qx, qz)
+    return np.stack([np.stack([dxx, dxz], -1), np.stack([dxz, dzz], -1)], -1)
+
+
+def assert_cells_match_dispersion(qx, qz, phi, alpha_l, alpha_t, d_m):
+    qx, qz = np.broadcast_to(qx, (4, 5)), np.broadcast_to(qz, (4, 5))
+    cells = cell_dispersion(qx, qz, phi, alpha_l, alpha_t, d_m)
+    for i, j in np.ndindex(4, 5):
+        oracle = dispersion_tensor((qx[i, j], qz[i, j]), phi, alpha_l, alpha_t, d_m)
+        assert np.allclose(cells[i, j], oracle, rtol=1e-13, atol=0.0)
+    return cells
 
 
 class TestDispersionTensor:
+    """The solver's per-cell dispersion tensors against ``dispersion_tensor``."""
+
     def test_zero_flux_reduces_to_molecular(self):
-        out = aq.dispersion_tensor(np.zeros(2), 0.2, 15.0, 1.5, 2.3e-9)
+        out = dispersion_tensor(np.zeros(2), 0.2, 15.0, 1.5, 2.3e-9)
         assert np.allclose(out, 0.2 * 2.3e-9 * np.eye(2))
+        cells = assert_cells_match_dispersion(0.0, 0.0, 0.2, 15.0, 1.5, 2.3e-9)
+        assert np.allclose(cells, 0.2 * 2.3e-9 * np.eye(2), rtol=1e-14, atol=0.0)
 
     def test_axis_aligned_flux(self):
-        out = aq.dispersion_tensor(np.array([1.0, 0.0]), 0.2, 15.0, 1.5, 0.0)
+        out = dispersion_tensor(np.array([1.0, 0.0]), 0.2, 15.0, 1.5, 0.0)
         assert np.allclose(out, np.diag([15.0, 1.5]))
+        cells = assert_cells_match_dispersion(1.0, 0.0, 0.2, 15.0, 1.5, 0.0)
+        assert np.allclose(cells, np.diag([15.0, 1.5]))
 
     def test_eigenvalues_for_random_flux(self):
         rng = np.random.default_rng(5)
+        phi, al, at, dm = 0.15, 12.0, 2.0, 2.3e-9
         for _ in range(20):
             q = rng.normal(size=2)
-            phi, al, at, dm = 0.15, 12.0, 2.0, 2.3e-9
-            out = aq.dispersion_tensor(q, phi, al, at, dm)
+            out = dispersion_tensor(q, phi, al, at, dm)
             norm = np.hypot(*q)
             eig = np.sort(np.linalg.eigvalsh(out))
             expected = np.sort([al * norm + phi * dm, at * norm + phi * dm])
             assert np.allclose(eig, expected)
+        qx, qz = rng.normal(size=(2, 4, 5))
+        cells = assert_cells_match_dispersion(qx, qz, phi, al, at, dm)
+        norm = np.hypot(qx, qz)
+        for (i, j), cell in zip(np.ndindex(4, 5), cells.reshape(-1, 2, 2)):
+            expected = [at * norm[i, j] + phi * dm, al * norm[i, j] + phi * dm]
+            assert np.allclose(np.sort(np.linalg.eigvalsh(cell)), expected)
 
 
 class TestFlowSolver:
@@ -222,6 +300,9 @@ class TestMleSolver:
         sel = x < 0.8 * model.length
         rel = np.abs(mle.e_years[0, sel] - exact[sel]) / exact[sel]
         assert np.max(rel) < 0.01
+        # the response is the unweighted mean over the target zone's cells
+        in_tz = (x >= model.tz_x[0]) & (x <= model.tz_x[1])
+        assert mle.response == pytest.approx(exact[in_tz].mean(), rel=0.01)
 
     def test_pure_diffusion_parabola(self):
         model = slab_model(nx=400, phi=0.3, head_left=5.0, head_right=5.0, d_m=2.3e-9)
@@ -234,12 +315,11 @@ class TestMleSolver:
         rel = np.abs(mle.e_years[1] - exact) / exact.max()
         assert np.max(rel) < 0.01
 
-    def test_uniform_field_response(self):
+    def test_target_zone_without_cell_centre_refused(self):
+        # 200 x 4 cells of 5 m: x-centres at 2.5, 7.5, ..., none in [1, 2]
         model = slab_model()
-        mle = aq.MleField(
-            e_years=np.full((model.nz, model.nx), 123.0), response=0.0, residual=0.0
-        )
-        assert aq.response_at_tz(mle, model) == pytest.approx(123.0)
+        with pytest.raises(ValueError, match=r"target zone .* no cell centre"):
+            dataclasses.replace(model, tz_x=(1.0, 2.0))
 
     def test_nominal_run_in_band(self):
         model = aq.default_model()

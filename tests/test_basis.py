@@ -115,12 +115,12 @@ class TestEnumeration:
     def test_truncation_monotone_in_q(self):
         small = enumerate_hyperbolic(4, 5, 0.4)
         large = enumerate_hyperbolic(4, 5, 0.9)
-        assert small.issubset(large)
+        assert {tuple(r) for r in small.degrees} <= {tuple(r) for r in large.degrees}
 
     def test_truncation_monotone_in_p(self):
         small = enumerate_hyperbolic(4, 3, 0.6)
         large = enumerate_hyperbolic(4, 6, 0.6)
-        assert small.issubset(large)
+        assert {tuple(r) for r in small.degrees} <= {tuple(r) for r in large.degrees}
 
     def test_members_satisfy_bound_exactly(self):
         mset = enumerate_hyperbolic(5, 4, 0.5)

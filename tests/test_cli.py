@@ -6,7 +6,7 @@ import pytest
 import yaml
 
 from pcesobol import ExperimentalDesign, load_responses_csv
-from pcesobol.cli import ConfigError, load_config, main
+from pcesobol.cli import ConfigError, journal_header, load_config, main
 from conftest import ishigami, ishigami_analytic
 
 THREE_UNIFORMS = [
@@ -130,11 +130,51 @@ class TestEvaluate:
         design_path = tmp_path / "out" / "design.csv"
         # pre-record rows 0..3 as done, as if a previous run was interrupted
         journal = tmp_path / "out" / "design.partial.csv"
-        journal.write_text("".join(f"{i},7.0\n" for i in range(4)))
+        header = journal_header(
+            ExperimentalDesign.from_csv(design_path), load_config(cfg)["model"]
+        )
+        journal.write_text(header + "".join(f"{i},7.0\n" for i in range(4)))
         main(["evaluate", "--config", str(cfg), "--design", str(design_path)])
         assert counter.read_text().count("x") == 2  # only rows 4 and 5 ran
         responses = load_responses_csv(tmp_path / "out" / "design.responses.csv")
         assert responses.tolist() == [7.0] * 4 + [2.5] * 2
+
+    def test_torn_journal_lines_rerun_their_rows(self, tmp_path):
+        counter = tmp_path / "calls.log"
+        command = (
+            f"{sys.executable} -c \""
+            f"import pathlib; pathlib.Path('{counter}').open('a').write('x');"
+            f" open('{{output}}','w').write('2.5')\""
+        )
+        cfg = write_config(
+            tmp_path / "run.yaml",
+            design={"n": 4, "seed": 4},
+            model={"kind": "external", "command": command},
+        )
+        main(["sample", "--config", str(cfg)])
+        design_path = tmp_path / "out" / "design.csv"
+        journal = tmp_path / "out" / "design.partial.csv"
+        header = journal_header(
+            ExperimentalDesign.from_csv(design_path), load_config(cfg)["model"]
+        )
+        # row 1 garbled, row 3 cut off before its newline
+        journal.write_text(header + "0,7.0\n1;7.0\n2,7.0\n3,7.")
+        main(["evaluate", "--config", str(cfg), "--design", str(design_path)])
+        assert counter.read_text().count("x") == 2  # rows 1 and 3 ran again
+        responses = load_responses_csv(tmp_path / "out" / "design.responses.csv")
+        assert responses.tolist() == [7.0, 2.5, 7.0, 2.5]
+        assert journal.read_text().splitlines()[-2:] == ["1,2.5", "3,2.5"]
+
+    def test_journal_from_another_design_refused(self, tmp_path):
+        # the same output directory, first for seed 1, then for seed 2
+        design_path = tmp_path / "out" / "design.csv"
+        cfg = write_config(tmp_path / "one.yaml", design={"n": 3, "seed": 1})
+        main(["sample", "--config", str(cfg)])
+        main(["evaluate", "--config", str(cfg), "--design", str(design_path)])
+        cfg = write_config(tmp_path / "two.yaml", design={"n": 3, "seed": 2})
+        main(["sample", "--config", str(cfg)])
+        with pytest.raises(ConfigError, match="design.partial.csv"):
+            main(["evaluate", "--config", str(cfg), "--design", str(design_path)])
 
     def test_failed_rows_reported_and_retryable(self, tmp_path):
         command = f"{sys.executable} -c \"import sys; sys.exit(3)\""

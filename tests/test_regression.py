@@ -389,3 +389,14 @@ class TestSerialization:
         assert back.err_loo_corrected == pytest.approx(pce.err_loo_corrected)
         probe = lhs(7, rv, seed=99).points
         assert np.allclose(back.predict(probe), pce.predict(probe))
+
+    def test_format_tag_checked(self):
+        rng = np.random.default_rng(18)
+        rv, candidate, design, y, _, _ = synthetic_sparse_truth(rng, n=50)
+        doc = hybrid_fit(candidate, design, y, rv).to_dict()
+        doc["format"] = "pcesobol.sparse-pce/2"
+        with pytest.raises(ValueError, match="pcesobol.sparse-pce/2"):
+            SparsePce.from_dict(doc)
+        del doc["format"]
+        with pytest.raises(ValueError, match="format tag None"):
+            SparsePce.from_dict(doc)
