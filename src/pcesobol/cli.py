@@ -99,6 +99,10 @@ def _validate_config(cfg) -> None:
         raise ConfigError("fit.q must lie in (0, 1]")
     if fit["scale"] not in ("original", "log"):
         raise ConfigError("fit.scale must be 'original' or 'log'")
+    if fit["use_enrichment"] not in ("none", "validation", "joint"):
+        raise ConfigError(
+            "fit.use_enrichment must be 'none', 'validation' or 'joint'"
+        )
     thr = float(cfg["sobol"]["screening_threshold"])
     if not (0.0 <= thr <= 1.0):
         raise ConfigError("sobol.screening_threshold must lie in [0, 1]")
@@ -612,9 +616,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    try:
+        _run(args)
+    except ConfigError as exc:
+        print(f"pcesobol: error: {exc}", file=sys.stderr)
+        return 2
+    return 0
+
+
+def _run(args) -> None:
     if args.command == "demo":
         cmd_demo(Path(args.out))
-        return 0
+        return
     cfg = load_config(args.config)
     out = Path(args.out) if args.out else None
     if out:
@@ -638,7 +651,6 @@ def main(argv=None) -> int:
         cmd_study(cfg, args.design, args.responses, out)
     elif args.command == "full":
         cmd_full(cfg)
-    return 0
 
 
 if __name__ == "__main__":

@@ -7,9 +7,11 @@ smallest corrected LOO error wins.  No regularization constant is ever
 tuned: model size along the path plays its role.
 
 Both jobs run in one pass over one thin QR of ``[1, psi_order...]``: each
-LAR pick is orthogonalized once, which updates the prefix's fit and LOO
-score and also yields the next equiangular direction, so no Gram matrix is
-formed or factored.  ``loo_error`` and ``corrected_loo`` run the same
+LAR pick is orthogonalized once by a column-append step that also checks
+and scores the prefix it completes, and the QR yields the next equiangular
+direction, so no Gram matrix is formed or factored.  The basis matrix is
+never centered: the correlations follow the LARS update, with one product
+with it per step.  ``loo_error`` and ``corrected_loo`` run the same
 column-append step.
 
 Degeneracy handling is explicit: a prefix that loses rank, whose condition
@@ -216,7 +218,7 @@ def loo_error(psi, y, coeffs) -> float:
     psi = np.atleast_2d(np.asarray(psi, dtype=float))
     y = np.asarray(y, dtype=float).ravel()
     qr = _orthogonalize(psi, y)
-    return qr.loo(y - psi @ np.asarray(coeffs, dtype=float))[0]
+    return qr.loo(y - psi @ np.asarray(coeffs, dtype=float))
 
 
 def corrected_loo(err_loo, psi) -> float:
@@ -224,7 +226,8 @@ def corrected_loo(err_loo, psi) -> float:
 
     Multiplies the LOO error by ``(1 - card(A)/N)^-1 (1 + tr((Psi^T Psi)^-1))``,
     with the trace taken as the squared Frobenius norm of ``R^-1`` from the
-    fit's thin QR.  Both factors are >= 1.
+    fit's thin QR.  Both factors are >= 1.  A design the fit's prefix scan
+    refuses (see ``_ThinQr.append``) raises ``ValueError``.
     """
     psi = np.atleast_2d(np.asarray(psi, dtype=float))
     return float(err_loo) * _orthogonalize(psi, np.zeros(psi.shape[0])).correction()
@@ -259,10 +262,11 @@ class _ThinQr:
     """Thin QR of a growing set of columns, with the OLS fit of ``y`` on it.
 
     ``append`` orthogonalizes one more column (classical Gram-Schmidt,
-    applied twice) and updates the leverages, the residuals and
-    tr((Psi^T Psi)^-1), the squared Frobenius norm of R^-1, in O(N k).
-    Leverage only grows and conditioning only worsens along nested
-    column sets, so a refused column or model ends every extension.
+    applied twice), updates the leverages, the residuals and
+    tr((Psi^T Psi)^-1), the squared Frobenius norm of R^-1, in O(N k), and
+    checks and scores the prefix it completes.  Leverage only grows and
+    conditioning only worsens along nested column sets, so a refused
+    column or model ends every extension.
     """
 
     def __init__(self, y, max_cols):
@@ -279,7 +283,8 @@ class _ThinQr:
         self.k = 0
         self.rd_min, self.rd_max = np.inf, 0.0
 
-    def append(self, v) -> None:
+    def append(self, v) -> tuple[float, float]:
+        """Add column ``v``; return the prefix's (LOO, corrected LOO)."""
         k = self.k
         qt = self.qt[:k]
         head = qt @ v
@@ -306,6 +311,12 @@ class _ThinQr:
         self.h += q**2
         self.resid -= q * self.qty[k]
         self.k = k + 1
+        if np.any(self.h >= 1.0 - _LEVERAGE_TOL):
+            raise _Degenerate(
+                "saturated leverage: the model memorizes at least one point"
+            )
+        err = self.loo(self.resid)
+        return err, err * self.correction()
 
     def correction(self) -> float:
         """Corrected-over-plain LOO factor (1 + tr) / (1 - card(A)/N)."""
@@ -314,24 +325,14 @@ class _ThinQr:
             raise _Degenerate("correction requires card(A) < N")
         return (1.0 + self.fro2) / (1.0 - self.k / n)
 
-    def loo(self, resid=None) -> tuple[float, float]:
-        """Relative LOO error of the fit and its corrected form.
-
-        ``resid`` defaults to the residuals of the OLS fit kept here.
-        """
-        if np.any(self.h >= 1.0 - _LEVERAGE_TOL):
-            raise _Degenerate(
-                "saturated leverage: the model memorizes at least one point"
-            )
-        resid = self.resid if resid is None else resid
+    def loo(self, resid) -> float:
+        """Relative LOO error of residuals ``resid`` under these leverages."""
         err_abs = float(np.mean((resid / (1.0 - self.h)) ** 2))
         if err_abs <= _zero_floor(self.y):
-            err = 0.0
-        elif self.var <= 0.0:
+            return 0.0
+        if self.var <= 0.0:
             raise _Degenerate("responses have zero variance but nonzero error")
-        else:
-            err = err_abs / self.var
-        return err, err * self.correction()
+        return err_abs / self.var
 
 
 def _orthogonalize(psi, y) -> _ThinQr:
@@ -355,39 +356,38 @@ class _HybridPath:
 def _hybrid_path(psi, y) -> _HybridPath:
     """LAR over the non-constant columns of ``psi``, every prefix scored.
 
-    Each pick is orthogonalized once against ``[1, psi_order...]``.  That
-    thin QR gives the prefix's OLS fit and closed-form LOO error, and also
-    the next LAR step: with X_A the centered, unit-norm active columns,
-    D their centered norms and s the correlation signs,
-    X_A S = Q_1 R_11 D^-1 S, so the equiangular direction is Q_1 t with
-    t = R_11^-T D s, and 1^T (S X_A^T X_A S)^-1 1 = |t|^2.  No Gram matrix
-    is formed.  The first prefix the scan rejects ends the path.
+    Each pick goes through ``_ThinQr.append``, whose first refusal ends the
+    path.  With X_A the centered, unit-norm active columns, D their
+    centered norms and s the correlation signs, X_A S = Q_1 R_11 D^-1 S, so
+    the equiangular direction is Q_1 t with t = R_11^-T D s, and
+    1^T (S X_A^T X_A S)^-1 1 = |t|^2.  The centered response and every
+    direction v are orthogonal to the constant column, so X^T v is
+    psi^T v / D: one product with the uncentered ``psi`` per step.
     """
     n = psi.shape[0]
-    x = psi[:, 1:] - psi[:, 1:].mean(axis=0)
-    norms = np.linalg.norm(x, axis=0)
+    # centered 256 columns at a time: sqrt(sum psi^2 - N mean^2) would
+    # cancel on a column with a large offset and a small spread
+    norms = np.empty(psi.shape[1] - 1)
+    for j in range(1, psi.shape[1], 256):
+        block = psi[:, j : j + 256]
+        norms[j - 1 : j + 255] = np.linalg.norm(block - block.mean(axis=0), axis=0)
     # columns that are constant up to roundoff never compete
     inactive = norms > 1e-13 * max(1.0, float(np.max(norms, initial=0.0)))
     norms[~inactive] = 1.0
-    x /= norms
 
-    yc = y - y.mean()
-    mu = np.zeros(n)
-    c = x.T @ yc
     qr = _ThinQr(y, min(n, int(np.count_nonzero(inactive)) + 1))
-    active: list[int] = []  # columns of x, in inclusion order
+    active: list[int] = []  # columns of psi[:, 1:], in inclusion order
     best_k, best = None, (np.inf, np.inf)
     try:
-        qr.append(psi[:, 0])
-        best_k, best = 0, qr.loo()
+        best_k, best = 0, qr.append(psi[:, 0])
+        c = (psi.T @ qr.resid)[1:] / norms  # resid: the centered response
         while np.any(inactive):
             c_in = np.where(inactive, np.abs(c), -np.inf)
             j_new = int(np.argmax(c_in))
             big_c = float(c_in[j_new])
             if big_c < _CORR_TOL:
                 break
-            qr.append(psi[:, j_new + 1])
-            scored = qr.loo()
+            scored = qr.append(psi[:, j_new + 1])
             active.append(j_new)
             inactive[j_new] = False
             if scored[1] < best[1]:
@@ -399,7 +399,7 @@ def _hybrid_path(psi, y) -> _HybridPath:
             t = qr.r_inv[1 : k + 1, 1 : k + 1].T @ (norms[active] * signs)
             a_norm = 1.0 / float(np.linalg.norm(t))
             u_dir = (t * a_norm) @ qr.qt[1 : k + 1]
-            a = x.T @ u_dir
+            a = (psi.T @ u_dir)[1:] / norms
             with np.errstate(divide="ignore", invalid="ignore"):
                 g1 = (big_c - c) / (a_norm - a)
                 g2 = (big_c + c) / (a_norm + a)
@@ -407,8 +407,7 @@ def _hybrid_path(psi, y) -> _HybridPath:
             gammas = gammas[np.isfinite(gammas) & (gammas > _CORR_TOL)]
             if gammas.size == 0:
                 break
-            mu += float(np.min(gammas)) * u_dir
-            c = x.T @ (yc - mu)
+            c -= float(np.min(gammas)) * a  # the LARS update (Efron et al. 2004)
     except _Degenerate:
         pass
 

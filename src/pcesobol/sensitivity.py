@@ -124,7 +124,6 @@ class SobolReport:
     important: list
     unimportant: list
     grouped_sums: dict | None = None
-    group_indices: dict | None = None
 
     def ranked(self, top: int | None = None):
         """Variables by descending total index: [(name, total, first), ...]."""
@@ -163,9 +162,6 @@ class SobolReport:
                 )
             ],
             "grouped_sums": self.grouped_sums,
-            "group_indices": None
-            if self.group_indices is None
-            else {",".join(map(str, k)): v for k, v in self.group_indices.items()},
         }
 
 
@@ -197,7 +193,6 @@ def sobol_report(
     pce: SparsePce,
     threshold: float = 0.01,
     grouping: dict | None = None,
-    groups=None,
 ) -> SobolReport:
     """Assemble the complete report from a fitted expansion."""
     mean, sd = moments(pce)
@@ -218,10 +213,6 @@ def sobol_report(
     report.important, report.unimportant = screen(report, threshold)
     if grouping is not None:
         report.grouped_sums = grouped_sums(report, grouping)
-    if groups is not None:
-        report.group_indices = {
-            tuple(sorted(u)): sobol_group(pce, u) for u in groups
-        }
     return report
 
 

@@ -96,7 +96,8 @@ def best_prefix(psi, y, order):
         beta, *_ = np.linalg.lstsq(a, y, rcond=None)
         err_abs = float(np.mean(((y - a @ beta) / (1.0 - h)) ** 2))
         err = 0.0 if err_abs <= floor else err_abs / var
-        trace = float(np.trace(np.linalg.inv(a.T @ a)))
+        # tr((A^T A)^-1) = |R^-1|_F^2; inverting A^T A would square cond(A)
+        trace = float(np.sum(np.linalg.inv(r) ** 2))
         corrected = err * (1.0 + trace) / (1.0 - a.shape[1] / n)
         if corrected < best_err:
             best_k, best_err, best_beta = k, corrected, beta

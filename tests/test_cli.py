@@ -49,6 +49,7 @@ class TestConfig:
             {"fit": {"p_range": [3, 1]}},
             {"fit": {"q": 0.0}},
             {"fit": {"scale": "sqrt"}},
+            {"fit": {"use_enrichment": "jiont"}},
             {"sobol": {"screening_threshold": 2.0}},
             {"model": {"kind": "quantum"}},
             {"model": {"kind": "external", "command": None}},
@@ -165,7 +166,7 @@ class TestEvaluate:
         assert responses.tolist() == [7.0, 2.5, 7.0, 2.5]
         assert journal.read_text().splitlines()[-2:] == ["1,2.5", "3,2.5"]
 
-    def test_journal_from_another_design_refused(self, tmp_path):
+    def test_journal_from_another_design_refused(self, tmp_path, capsys):
         # the same output directory, first for seed 1, then for seed 2
         design_path = tmp_path / "out" / "design.csv"
         cfg = write_config(tmp_path / "one.yaml", design={"n": 3, "seed": 1})
@@ -173,8 +174,13 @@ class TestEvaluate:
         main(["evaluate", "--config", str(cfg), "--design", str(design_path)])
         cfg = write_config(tmp_path / "two.yaml", design={"n": 3, "seed": 2})
         main(["sample", "--config", str(cfg)])
-        with pytest.raises(ConfigError, match="design.partial.csv"):
-            main(["evaluate", "--config", str(cfg), "--design", str(design_path)])
+        capsys.readouterr()
+        status = main(["evaluate", "--config", str(cfg), "--design", str(design_path)])
+        assert status == 2
+        err = capsys.readouterr().err
+        assert err.startswith("pcesobol: error: ")
+        assert "design.partial.csv" in err
+        assert err.count("\n") == 1  # one line, no traceback
 
     def test_failed_rows_reported_and_retryable(self, tmp_path):
         command = f"{sys.executable} -c \"import sys; sys.exit(3)\""

@@ -86,7 +86,8 @@ class TestLarPath:
 
 
 def lar_path_problems():
-    """The design matrices and responses of the LAR path tests above."""
+    """The design matrices and responses of the LAR path tests above, and a
+    near-constant column."""
     rng = np.random.default_rng(0)
     psi = np.column_stack([np.ones(40), rng.normal(size=(40, 5))])
     yield psi, 2.0 * psi[:, 3]
@@ -102,6 +103,13 @@ def lar_path_problems():
     yield np.column_stack([np.ones(30), base, base[:, 0]]), y
     rng = np.random.default_rng(4)
     yield np.column_stack([np.ones(12), rng.normal(size=(12, 30))]), rng.normal(size=12)
+    # offset 1e3, spread 1e-6, beside an exactly constant column: only the
+    # first competes, and sqrt(sum psi^2 - N mean^2) would cancel to noise
+    rng = np.random.default_rng(5)
+    base = rng.normal(size=(40, 3))
+    z = rng.normal(size=40)
+    y = base @ np.array([1.0, -0.5, 0.25]) + 0.3 * z + 0.1 * rng.normal(size=40)
+    yield np.column_stack([np.ones(40), base, 1e3 + 1e-6 * z, np.full(40, 2.0)]), y
 
 
 class TestAgainstGramLar:
@@ -112,7 +120,7 @@ class TestAgainstGramLar:
     @pytest.mark.parametrize(
         "psi,y",
         list(lar_path_problems()),
-        ids=["correlated", "orthonormal", "random", "duplicate", "wide"],
+        ids=["correlated", "orthonormal", "random", "duplicate", "wide", "near-constant"],
     )
     def test_lar_path_problems(self, psi, y):
         path = _hybrid_path(psi, y)
