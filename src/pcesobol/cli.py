@@ -190,6 +190,11 @@ def _demo_row(args):
 
 
 def _external_row(command, workdir: Path, index: int, names, params):
+    """Run the external command on one row through its exchange files.
+
+    Returns ``(value, error, files)``; a failed row's error names the
+    exchange files it leaves behind for inspection.
+    """
     inp = workdir / f"row_{index:06d}.in.csv"
     outp = workdir / f"row_{index:06d}.out"
     with open(inp, "w") as fh:
@@ -197,15 +202,21 @@ def _external_row(command, workdir: Path, index: int, names, params):
         fh.write(",".join(f"{v:.17g}" for v in params) + "\n")
     cmd = command.format(input=str(inp), output=str(outp), index=index)
     proc = subprocess.run(shlex.split(cmd), capture_output=True, text=True)
+    value, err = float("nan"), ""
     if proc.returncode != 0:
-        return float("nan"), f"exit {proc.returncode}: {proc.stderr.strip()[:200]}"
-    try:
-        value = float(outp.read_text().strip().splitlines()[0])
-    except (OSError, ValueError, IndexError) as exc:
-        return float("nan"), f"unreadable response: {exc}"
-    if not np.isfinite(value):
-        return float("nan"), "non-finite response"
-    return value, ""
+        err = f"exit {proc.returncode}: {proc.stderr.strip()[:200]}"
+    else:
+        try:
+            value = float(outp.read_text().strip().splitlines()[0])
+        except (OSError, ValueError, IndexError) as exc:
+            err = f"unreadable response: {exc}"
+        else:
+            if not np.isfinite(value):
+                value, err = float("nan"), "non-finite response"
+    if err:
+        kept = ", ".join(str(f) for f in (inp, outp) if f.exists())
+        err += f"; exchange files kept: {kept}"
+    return value, err, (inp, outp)
 
 
 def journal_header(design: ExperimentalDesign, model_cfg: dict) -> str:
@@ -260,7 +271,9 @@ def cmd_evaluate(cfg, design_path, out: Path | None = None) -> Path:
     settings (see ``journal_header``); a journal written for other inputs
     is refused with ``ConfigError``.
     Failures are recorded per row (NaN in the final column) and reported
-    at the end.
+    at the end.  Demo rows go to the worker pool one at a time, so no
+    worker waits on another's batch.  An external row's exchange files are
+    deleted once its value is journaled, and kept when the row fails.
     """
     outdir = out or _outdir(cfg)
     design = ExperimentalDesign.from_csv(design_path)
@@ -288,7 +301,7 @@ def cmd_evaluate(cfg, design_path, out: Path | None = None) -> Path:
             jobs = [(i, design.points[i]) for i in todo]
             if workers > 1 and len(jobs) > 1:
                 with ProcessPoolExecutor(max_workers=workers) as pool:
-                    for index, value, err in pool.map(_demo_row, jobs, chunksize=4):
+                    for index, value, err in pool.map(_demo_row, jobs, chunksize=1):
                         record(index, value, err)
             else:
                 for job in jobs:
@@ -298,10 +311,13 @@ def cmd_evaluate(cfg, design_path, out: Path | None = None) -> Path:
             exchange = outdir / "exchange"
             exchange.mkdir(exist_ok=True)
             for i in todo:
-                value, err = _external_row(
+                value, err, files = _external_row(
                     command, exchange, i, design.names, design.points[i]
                 )
                 record(i, value, err)
+                if not err:
+                    for f in files:
+                        f.unlink(missing_ok=True)
 
     responses = np.array([done.get(i, float("nan")) for i in range(design.n)])
     with open(final, "w") as fh:
@@ -539,6 +555,10 @@ def cmd_demo(out: Path) -> None:
         "mass_imbalance": budget.imbalance,
         "flow_residual": flow.residual,
         "mle_residual": mle.residual,
+        "flow_iterations": flow.iterations,
+        "mle_iterations": mle.iterations,
+        "flow_coupled_fallback": flow.coupled_fallback,
+        "mle_coupled_fallback": mle.coupled_fallback,
         "grid": {"nx": model.nx, "nz": model.nz},
         "time_unit": "years (1 yr = 3.15576e7 s)",
         "gradient_convention": "zone gradients rescale boundary heads about fixed segment means",

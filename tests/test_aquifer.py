@@ -2,8 +2,9 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from pcesobol import aquifer as aq
+from pcesobol import aquifer as aq, lhs
 from pcesobol.aquifer import (
     BoundarySegment,
     CrossSectionModel,
@@ -361,6 +362,59 @@ class TestEvaluate:
         coarse = aq.evaluate(params, model)
         fine = aq.evaluate(params, model.refined(2))
         assert abs(fine - coarse) / coarse < 0.15
+
+
+@pytest.fixture(scope="module")
+def screening_solves():
+    """Flow and lifetime solves of rows 0, 1 and 68 of the screening design,
+    with the two-point operator each solve factored.  Row 68 takes the
+    coupled fallback."""
+    model = aq.default_model()
+    points = lhs(500, aq.random_vector(model), 42).points
+    operator, captured = solver._operator, []
+
+    def capture(*args):
+        parts = operator(*args)
+        captured.append(parts[0])
+        return parts
+
+    solves = {}
+    solver._operator = capture
+    try:
+        for row in (0, 1, 68):
+            captured.clear()
+            mp = ModelParameters.from_vector(model, points[row])
+            flow = aq.solve_flow(model, mp)
+            mle = aq.solve_mle(model, flow, mp)
+            solves[row] = (flow, mle, list(captured))
+    finally:
+        solver._operator = operator
+    return solves
+
+
+class TestTwoPointOperator:
+    """The properties that let the two-point operators be factored without
+    pivoting: M-matrices, diagonally dominant by column."""
+
+    @pytest.mark.parametrize("row", [0, 1, 68])
+    @pytest.mark.parametrize("solve", [0, 1], ids=["flow", "lifetime"])
+    def test_m_matrix_dominant_by_column(self, screening_solves, row, solve):
+        a_main = screening_solves[row][2][solve].tocsc()
+        diag = a_main.diagonal()
+        off = (a_main - sp.diags(diag)).tocsc()
+        assert np.all(diag > 0.0)
+        assert np.all(off.data <= 0.0)
+        col_off = np.asarray(abs(off).sum(axis=0)).ravel()
+        assert np.all(diag - col_off >= -1e-12 * diag)
+
+    def test_solves_record_iterations_and_fallback(self, screening_solves):
+        for flow, mle, _ in screening_solves.values():
+            assert flow.residual <= 1e-10 and mle.residual <= 1e-10
+        flow, mle, _ = screening_solves[0]
+        assert not flow.coupled_fallback and not mle.coupled_fallback
+        assert flow.iterations > 0  # the rotated tensor needs corrections
+        flow, mle, _ = screening_solves[68]
+        assert flow.coupled_fallback or mle.coupled_fallback
 
 
 class TestParameterPlumbing:

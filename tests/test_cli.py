@@ -107,6 +107,8 @@ class TestEvaluate:
         )
         responses = load_responses_csv(tmp_path / "out" / "design.responses.csv")
         assert np.array_equal(responses, np.ones(5))
+        # each row's exchange files go once its value is journaled
+        assert list((tmp_path / "out" / "exchange").iterdir()) == []
 
     def test_empty_design_succeeds(self, tmp_path):
         cfg = write_config(tmp_path / "run.yaml")
@@ -182,7 +184,7 @@ class TestEvaluate:
         assert "design.partial.csv" in err
         assert err.count("\n") == 1  # one line, no traceback
 
-    def test_failed_rows_reported_and_retryable(self, tmp_path):
+    def test_failed_rows_reported_and_retryable(self, tmp_path, capsys):
         command = f"{sys.executable} -c \"import sys; sys.exit(3)\""
         cfg = write_config(
             tmp_path / "run.yaml",
@@ -202,6 +204,14 @@ class TestEvaluate:
             )
         responses = load_responses_csv(tmp_path / "out" / "design.responses.csv")
         assert np.all(np.isnan(responses))
+        # a failed row keeps its exchange files and names them
+        exchange = tmp_path / "out" / "exchange"
+        kept = sorted(f.name for f in exchange.iterdir())
+        assert kept == [f"row_{i:06d}.in.csv" for i in range(3)]
+        err = capsys.readouterr().err
+        for i in range(3):
+            assert f"row {i}: FAILED" in err
+            assert str(exchange / f"row_{i:06d}.in.csv") in err
 
     def test_demo_nominal_row_in_band(self, tmp_path):
         from pcesobol import aquifer as aq
@@ -444,6 +454,12 @@ class TestDemo:
         assert main(["demo", "--out", str(tmp_path / "demo")]) == 0
         summary = json.loads((tmp_path / "demo" / "demo_summary.json").read_text())
         assert 40_000 <= summary["target_zone_mle_years"] <= 200_000
+        # nominal layers are not rotated, but dispersion across the flow
+        # direction needs corrections in the lifetime solve
+        assert summary["flow_iterations"] == 0
+        assert summary["mle_iterations"] > 0
+        assert summary["flow_coupled_fallback"] is False
+        assert summary["mle_coupled_fallback"] is False
         fields = (tmp_path / "demo" / "fields.csv").read_text().splitlines()
         assert fields[0] == "x,z,head,mle_years"
         assert len(fields) == 1 + 250 * 104
