@@ -53,10 +53,6 @@ class Layer:
         if not (0 < klo <= self.kx_nominal <= khi):
             raise ValueError(f"layer {self.name}: conductivity anchors not monotone")
 
-    @property
-    def thickness(self) -> float:
-        return self.top - self.bottom
-
     def kx_from_phi(self, phi):
         """Longitudinal conductivity from porosity.
 
@@ -182,18 +178,20 @@ class CrossSectionModel:
             self.tz_x, self.tz_z, self.d_m, self.seconds_per_year,
         )
 
-    def segment_heads(self, segment: BoundarySegment, coords) -> np.ndarray:
+    def segment_heads(
+        self, segment: BoundarySegment, coords, gradient=None
+    ) -> np.ndarray:
         """Prescribed head along a segment at face-center coordinates.
 
         Side segments carry the zone's mean head offset by +/- g*L/2; the
-        top segment is linear in x about the mean head.  Rescaling a zone
-        gradient therefore never changes the segment's mean head.
+        top segment is linear in x about the mean head.  ``gradient``
+        defaults to the zone's nominal one; rescaling it never changes the
+        segment's mean head.
         """
         zone = self.zones[segment.zone]
-        mean, g = zone["mean_head"], zone["gradient"]["nominal"]
-        return self._heads(segment, coords, mean, g)
-
-    def _heads(self, segment, coords, mean, gradient):
+        mean = zone["mean_head"]
+        if gradient is None:
+            gradient = zone["gradient"]["nominal"]
         coords = np.asarray(coords, dtype=float)
         half = gradient * self.length / 2.0
         if segment.side == "right":
@@ -201,10 +199,6 @@ class CrossSectionModel:
         if segment.side == "left":
             return np.full_like(coords, mean - half)
         return mean + gradient * (coords - self.length / 2.0)
-
-    def segment_heads_with_gradient(self, segment, coords, gradient) -> np.ndarray:
-        zone = self.zones[segment.zone]
-        return self._heads(segment, coords, zone["mean_head"], gradient)
 
     # -- construction ---------------------------------------------------------
 
@@ -264,11 +258,6 @@ class CrossSectionModel:
             d_m=float(data["molecular_diffusion"]),
             seconds_per_year=float(data.get("seconds_per_year", 3.15576e7)),
         )
-
-    @classmethod
-    def from_yaml(cls, path) -> "CrossSectionModel":
-        with open(path) as fh:
-            return cls.from_dict(yaml.safe_load(fh))
 
 
 @lru_cache(maxsize=1)

@@ -381,12 +381,9 @@ def solve_flow(model: CrossSectionModel, params: ModelParameters) -> FlowField:
     t_b = geo.boundary_t(kxx, kzz)
     heads = np.empty(geo.bnd_cells.size)
     for segment, sl in zip(model.segments, geo.segment_slices):
-        grad = params.gradients.get(segment.zone)
-        coords = geo.bnd_coords[sl]
-        if grad is None:
-            heads[sl] = model.segment_heads(segment, coords)
-        else:
-            heads[sl] = model.segment_heads_with_gradient(segment, coords, grad)
+        heads[sl] = model.segment_heads(
+            segment, geo.bnd_coords[sl], params.gradients.get(segment.zone)
+        )
     b = np.zeros(n)
     np.add.at(b, geo.bnd_cells, t_b * heads)
 

@@ -20,6 +20,8 @@ import shlex
 import subprocess
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -106,11 +108,22 @@ def _validate_config(cfg) -> None:
     thr = float(cfg["sobol"]["screening_threshold"])
     if not (0.0 <= thr <= 1.0):
         raise ConfigError("sobol.screening_threshold must lie in [0, 1]")
-    kind = cfg["model"]["kind"]
-    if kind not in ("demo", "external"):
+    model = cfg["model"]
+    if model["kind"] not in ("demo", "external"):
         raise ConfigError("model.kind must be 'demo' or 'external'")
-    if kind == "external" and not cfg["model"].get("command"):
-        raise ConfigError("external models need model.command")
+    if type(model["workers"]) is not int or model["workers"] < 1:
+        raise ConfigError("model.workers must be an integer >= 1")
+    if model["kind"] == "external":
+        if not model.get("command"):
+            raise ConfigError("external models need model.command")
+        try:
+            shlex.split(model["command"].format(input="", output="", index=0))
+        except (KeyError, IndexError, ValueError, AttributeError) as exc:
+            raise ConfigError(
+                f"model.command is not a valid template ({type(exc).__name__}:"
+                f" {exc}); its placeholders are {{input}}, {{output}} and"
+                " {index}, and literal braces are written {{ }}"
+            ) from None
     if cfg["random_vector"] == "demo":
         return
     if not isinstance(cfg["random_vector"], list):
@@ -181,42 +194,43 @@ def cmd_sample(cfg, out: Path | None = None) -> list:
 # -- evaluate -----------------------------------------------------------------
 
 
-def _demo_row(args):
-    index, params = args
+def _demo_row(job):
+    index, params = job
     try:
         return index, float(aquifer.evaluate(params)), ""
     except Exception as exc:  # recorded per-row, run continues
         return index, float("nan"), str(exc)
 
 
-def _external_row(command, workdir: Path, index: int, names, params):
+def _external_row(command, exchange_dir: Path, names, job):
     """Run the external command on one row through its exchange files.
 
-    Returns ``(value, error, files)``; a failed row's error names the
-    exchange files it leaves behind for inspection.
+    The files are deleted once the value is read; a failed row keeps them
+    and its error names them for inspection.
     """
-    inp = workdir / f"row_{index:06d}.in.csv"
-    outp = workdir / f"row_{index:06d}.out"
+    index, params = job
+    inp = exchange_dir / f"row_{index:06d}.in.csv"
+    outp = exchange_dir / f"row_{index:06d}.out"
     with open(inp, "w") as fh:
         fh.write(",".join(names) + "\n")
         fh.write(",".join(f"{v:.17g}" for v in params) + "\n")
     cmd = command.format(input=str(inp), output=str(outp), index=index)
-    proc = subprocess.run(shlex.split(cmd), capture_output=True, text=True)
     value, err = float("nan"), ""
-    if proc.returncode != 0:
-        err = f"exit {proc.returncode}: {proc.stderr.strip()[:200]}"
-    else:
-        try:
-            value = float(outp.read_text().strip().splitlines()[0])
-        except (OSError, ValueError, IndexError) as exc:
-            err = f"unreadable response: {exc}"
+    try:
+        proc = subprocess.run(shlex.split(cmd), capture_output=True, text=True)
+        if proc.returncode != 0:
+            err = f"exit {proc.returncode}: {proc.stderr.strip()[:200]}"
         else:
-            if not np.isfinite(value):
-                value, err = float("nan"), "non-finite response"
-    if err:
-        kept = ", ".join(str(f) for f in (inp, outp) if f.exists())
-        err += f"; exchange files kept: {kept}"
-    return value, err, (inp, outp)
+            value = float(outp.read_text().strip().splitlines()[0])
+    except (OSError, ValueError, IndexError) as exc:
+        err = f"{type(exc).__name__}: {exc}"
+    if not err and np.isfinite(value):
+        inp.unlink()
+        outp.unlink()
+        return index, value, ""
+    kept = ", ".join(str(f) for f in (inp, outp) if f.exists())
+    err = err or "non-finite response"
+    return index, float("nan"), f"{err}; exchange files kept: {kept}"
 
 
 def journal_header(design: ExperimentalDesign, model_cfg: dict) -> str:
@@ -271,61 +285,45 @@ def cmd_evaluate(cfg, design_path, out: Path | None = None) -> Path:
     settings (see ``journal_header``); a journal written for other inputs
     is refused with ``ConfigError``.
     Failures are recorded per row (NaN in the final column) and reported
-    at the end.  Demo rows go to the worker pool one at a time, so no
-    worker waits on another's batch.  An external row's exchange files are
-    deleted once its value is journaled, and kept when the row fails.
+    at the end.  Rows of either model kind go to ``model.workers``
+    processes one at a time, so no worker waits on another's batch.
     """
     outdir = out or _outdir(cfg)
     design = ExperimentalDesign.from_csv(design_path)
     journal = outdir / (Path(design_path).stem + ".partial.csv")
     final = outdir / (Path(design_path).stem + ".responses.csv")
 
-    done = _read_journal(journal, journal_header(design, cfg["model"]))
-    todo = [i for i in range(design.n) if i not in done]
+    model = cfg["model"]
+    done = _read_journal(journal, journal_header(design, model))
+    jobs = [(i, design.points[i]) for i in range(design.n) if i not in done]
+    if model["kind"] == "demo":
+        row = _demo_row
+    else:
+        exchange = outdir / "exchange"
+        exchange.mkdir(exist_ok=True)
+        row = partial(_external_row, model["command"], exchange, design.names)
 
-    failures = []
-    kind = cfg["model"]["kind"]
-    with open(journal, "a") as jfh:
-
-        def record(index, value, err):
+    failures = 0
+    parallel = model["workers"] > 1 and len(jobs) > 1
+    pool = ProcessPoolExecutor(max_workers=model["workers"]) if parallel else None
+    with open(journal, "a") as jfh, pool or nullcontext():
+        results = pool.map(row, jobs, chunksize=1) if pool else map(row, jobs)
+        for index, value, err in results:
             if err:
-                failures.append((index, err))
+                failures += 1
                 print(f"row {index}: FAILED ({err})", file=sys.stderr)
-                return
+                continue
             done[index] = value
             jfh.write(f"{index},{value:.17g}\n")
             jfh.flush()
-
-        if kind == "demo":
-            workers = int(cfg["model"].get("workers", 1))
-            jobs = [(i, design.points[i]) for i in todo]
-            if workers > 1 and len(jobs) > 1:
-                with ProcessPoolExecutor(max_workers=workers) as pool:
-                    for index, value, err in pool.map(_demo_row, jobs, chunksize=1):
-                        record(index, value, err)
-            else:
-                for job in jobs:
-                    record(*_demo_row(job))
-        else:
-            command = cfg["model"]["command"]
-            exchange = outdir / "exchange"
-            exchange.mkdir(exist_ok=True)
-            for i in todo:
-                value, err, files = _external_row(
-                    command, exchange, i, design.names, design.points[i]
-                )
-                record(i, value, err)
-                if not err:
-                    for f in files:
-                        f.unlink(missing_ok=True)
 
     responses = np.array([done.get(i, float("nan")) for i in range(design.n)])
     with open(final, "w") as fh:
         fh.write("response\n")
         np.savetxt(fh, responses, fmt="%.17g")
-    print(f"wrote {final} ({design.n - len(failures)}/{design.n} rows ok)")
+    print(f"wrote {final} ({design.n - failures}/{design.n} rows ok)")
     if failures:
-        raise SystemExit(f"{len(failures)} row(s) failed; re-run to retry them")
+        raise SystemExit(f"{failures} row(s) failed; re-run to retry them")
     return final
 
 

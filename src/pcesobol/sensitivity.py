@@ -3,8 +3,8 @@
 Everything here is pure post-processing of stored coefficients: with an
 orthonormal basis, the variance contribution of any variable subset u is
 the sum of squared coefficients over the multi-indices supported exactly
-on u, so the complete ladder of indices costs a few masked reductions and
-no model evaluations.
+on u, so the complete ladder of indices is read off one partition of the
+variance by exact support, with no model evaluations.
 
 The squared non-constant coefficients partition exactly into the subsets,
 hence sum-of-all-indices = 1 holds to roundoff; indices are invariant
@@ -38,22 +38,42 @@ def total_variance(pce: SparsePce) -> float:
     return float(np.sum(pce.coefficients[1:] ** 2))
 
 
-def _masks(pce: SparsePce):
-    nz = pce.active_set.degrees > 0
-    return nz, nz.sum(axis=1)
+def _partition(pce: SparsePce) -> dict:
+    """Variance share of each exact support set, ``{(i, j, ...): share}``.
+
+    Each share is the sum of its own squared coefficients, in term order,
+    divided once by the total variance, so an index reads the same number
+    from whichever function reports it.  Empty for a constant expansion.
+    """
+    d_tot = total_variance(pce)
+    if d_tot == 0.0:
+        return {}
+    members: dict = {}
+    for k, alpha in enumerate(pce.active_set.degrees):
+        support = tuple(np.flatnonzero(alpha).tolist())
+        if support:
+            members.setdefault(support, []).append(k)
+    sq = pce.coefficients**2
+    return {u: float(np.sum(sq[ks]) / d_tot) for u, ks in members.items()}
+
+
+def _indices(pce: SparsePce):
+    """First-order and total index per variable and the nonzero
+    second-order indices, all read off one partition."""
+    m = pce.active_set.m
+    first, total, second = np.zeros(m), np.zeros(m), {}
+    for u, share in _partition(pce).items():
+        total[list(u)] += share
+        if len(u) == 1:
+            first[u[0]] = share
+        elif len(u) == 2 and share > 0.0:
+            second[u] = share
+    return first, total, second
 
 
 def sobol_first(pce: SparsePce) -> np.ndarray:
     """First-order (main effect) index per variable."""
-    nz, support = _masks(pce)
-    d_tot = total_variance(pce)
-    out = np.zeros(pce.active_set.m)
-    if d_tot == 0.0:
-        return out
-    sq = pce.coefficients**2
-    for i in range(out.size):
-        out[i] = sq[nz[:, i] & (support == 1)].sum() / d_tot
-    return out
+    return _indices(pce)[0]
 
 
 def sobol_second(pce: SparsePce) -> dict:
@@ -62,22 +82,7 @@ def sobol_second(pce: SparsePce) -> dict:
     Only pairs with a nonzero contribution appear; in sparse expansions
     the vast majority of the M(M-1)/2 pairs carry nothing.
     """
-    nz, support = _masks(pce)
-    d_tot = total_variance(pce)
-    out: dict = {}
-    if d_tot == 0.0:
-        return out
-    members: dict = {}
-    for k in np.nonzero(support == 2)[0]:
-        i, j = np.nonzero(nz[k])[0]
-        members.setdefault((int(i), int(j)), []).append(int(k))
-    for key, ks in members.items():
-        # same masked-sum-then-divide form as sobol_group, so pair groups
-        # reproduce these values exactly
-        value = float(np.sum(pce.coefficients[ks] ** 2) / d_tot)
-        if value > 0.0:
-            out[key] = value
-    return out
+    return _indices(pce)[2]
 
 
 def sobol_total(pce: SparsePce) -> np.ndarray:
@@ -85,28 +90,15 @@ def sobol_total(pce: SparsePce) -> np.ndarray:
 
     Exactly zero for a variable absent from the active set.
     """
-    nz, _ = _masks(pce)
-    d_tot = total_variance(pce)
-    out = np.zeros(pce.active_set.m)
-    if d_tot == 0.0:
-        return out
-    sq = pce.coefficients**2
-    for i in range(out.size):
-        out[i] = sq[nz[:, i]].sum() / d_tot
-    return out
+    return _indices(pce)[1]
 
 
 def sobol_group(pce: SparsePce, u) -> float:
     """Index of a variable subset: terms supported on exactly that subset."""
-    u = sorted(set(int(i) for i in u))
+    u = tuple(sorted(set(int(i) for i in u)))
     if not u:
         raise ValueError("the variable subset must be nonempty")
-    nz, support = _masks(pce)
-    d_tot = total_variance(pce)
-    if d_tot == 0.0:
-        return 0.0
-    mask = (support == len(u)) & np.all(nz[:, u], axis=1)
-    return float(np.sum(pce.coefficients[mask] ** 2) / d_tot)
+    return _partition(pce).get(u, 0.0)
 
 
 @dataclass
@@ -196,8 +188,7 @@ def sobol_report(
 ) -> SobolReport:
     """Assemble the complete report from a fitted expansion."""
     mean, sd = moments(pce)
-    first = sobol_first(pce)
-    tot = sobol_total(pce)
+    first, tot, second = _indices(pce)
     report = SobolReport(
         variable_names=tuple(pce.random_vector.names),
         response_scale=pce.response_scale,
@@ -205,7 +196,7 @@ def sobol_report(
         total_variance=sd**2,
         first_order=first,
         total=tot,
-        second_order=sobol_second(pce),
+        second_order=second,
         screening_threshold=threshold,
         important=[],
         unimportant=[],
@@ -236,9 +227,9 @@ def univariate_effect(pce: SparsePce, i: int, grid) -> UnivariateEffect:
     """Evaluate the first-order summand of variable ``i`` on a physical grid."""
     if not (0 <= i < pce.active_set.m):
         raise ValueError(f"variable index {i} out of range")
-    nz, support = _masks(pce)
-    mask = nz[:, i] & (support == 1)
-    degs = pce.active_set.degrees[mask, i].astype(int)
+    degrees = pce.active_set.degrees
+    mask = (degrees[:, i] > 0) & (np.count_nonzero(degrees, axis=1) == 1)
+    degs = degrees[mask, i].astype(int)
     coeffs = pce.coefficients[mask]
     grid = np.asarray(grid, dtype=float).ravel()
     marg = pce.random_vector.marginals[i]

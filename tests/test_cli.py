@@ -53,10 +53,25 @@ class TestConfig:
             {"sobol": {"screening_threshold": 2.0}},
             {"model": {"kind": "quantum"}},
             {"model": {"kind": "external", "command": None}},
+            {"model": {"command": "run {inputs} {output}"}},
+            {"model": {"command": "python3 -c \"d={'a': 1}\" {output}"}},
+            {"model": {"command": "run {input} {output} }"}},
+            {"model": {"workers": "two"}},
+            {"model": {"workers": 1.5}},
+            {"model": {"workers": 0}},
         ):
             path = write_config(tmp_path / "bad.yaml", **overrides)
             with pytest.raises(ConfigError):
                 load_config(path)
+
+    def test_brace_error_is_one_line(self, tmp_path, capsys):
+        command = "python3 -c \"d={'a': 1}\" {output}"
+        path = write_config(tmp_path / "bad.yaml", model={"command": command})
+        assert main(["sample", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("pcesobol: error: model.command")
+        assert "{{ }}" in err
+        assert err.count("\n") == 1
 
 
 class TestSample:
@@ -107,7 +122,7 @@ class TestEvaluate:
         )
         responses = load_responses_csv(tmp_path / "out" / "design.responses.csv")
         assert np.array_equal(responses, np.ones(5))
-        # each row's exchange files go once its value is journaled
+        # each row's exchange files go once its value is read
         assert list((tmp_path / "out" / "exchange").iterdir()) == []
 
     def test_empty_design_succeeds(self, tmp_path):
@@ -212,6 +227,68 @@ class TestEvaluate:
         for i in range(3):
             assert f"row {i}: FAILED" in err
             assert str(exchange / f"row_{i:06d}.in.csv") in err
+
+    def test_unstartable_command_is_a_row_failure(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path / "run.yaml",
+            design={"n": 2, "seed": 5},
+            model={"command": "no-such-program-xyz {input} {output}"},
+        )
+        main(["sample", "--config", str(cfg)])
+        with pytest.raises(SystemExit):
+            main(
+                ["evaluate", "--config", str(cfg),
+                 "--design", str(tmp_path / "out" / "design.csv")]
+            )
+        responses = load_responses_csv(tmp_path / "out" / "design.responses.csv")
+        assert np.all(np.isnan(responses))
+        exchange = tmp_path / "out" / "exchange"
+        kept = sorted(f.name for f in exchange.iterdir())
+        assert kept == [f"row_{i:06d}.in.csv" for i in range(2)]
+        err = capsys.readouterr().err
+        for i in range(2):
+            assert f"row {i}: FAILED (FileNotFoundError" in err
+            assert str(exchange / f"row_{i:06d}.in.csv") in err
+
+    def test_external_rows_run_on_workers(self, tmp_path, monkeypatch):
+        from pcesobol import cli
+
+        pools = []
+
+        class RecordingPool(cli.ProcessPoolExecutor):
+            def __init__(self, max_workers=None, **kwargs):
+                pools.append(max_workers)
+                super().__init__(max_workers=max_workers, **kwargs)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        # the response is the sum of the row's parameters
+        command = (
+            f"{sys.executable} -c \"import sys;"
+            " row = open(sys.argv[1]).read().split()[1].split(',');"
+            " open(sys.argv[2], 'w').write(repr(sum(map(float, row))))\""
+            " {input} {output}"
+        )
+        outputs = {}
+        for workers in (1, 2):
+            out = tmp_path / f"out{workers}"
+            cfg = write_config(
+                tmp_path / f"run{workers}.yaml",
+                output_dir=str(out),
+                design={"n": 6, "seed": 8},
+                model={"command": command, "workers": workers},
+            )
+            main(["sample", "--config", str(cfg)])
+            main(["evaluate", "--config", str(cfg), "--design", str(out / "design.csv")])
+            assert list((out / "exchange").iterdir()) == []
+            outputs[workers] = (
+                (out / "design.responses.csv").read_text(),
+                (out / "design.partial.csv").read_text(),
+            )
+        assert pools == [2]
+        assert outputs[2] == outputs[1]
+        design = ExperimentalDesign.from_csv(tmp_path / "out1" / "design.csv")
+        responses = load_responses_csv(tmp_path / "out2" / "design.responses.csv")
+        assert np.allclose(responses, design.points.sum(axis=1), rtol=1e-12)
 
     def test_demo_nominal_row_in_band(self, tmp_path):
         from pcesobol import aquifer as aq

@@ -137,6 +137,29 @@ class TestIndices:
         with pytest.raises(ValueError):
             sobol_group(two_var_pce, ())
 
+    def test_against_masked_sums(self):
+        # reference: each index as its own masked sum over the terms
+        rng = np.random.default_rng(4)
+        rv = RandomVector(
+            tuple("abcd"), tuple(Marginal.uniform(-1, 1) for _ in range(4))
+        )
+        degrees = {(0, 0, 0, 0)} | {
+            tuple(rng.integers(0, 3, size=4) * (rng.random(4) < 0.5))
+            for _ in range(60)
+        }
+        pce = pce_from_terms({a: rng.normal() for a in degrees}, rv, p=8)
+        nz = pce.active_set.degrees > 0
+        support = nz.sum(axis=1)
+        sq = pce.coefficients**2
+        d_tot = sq[1:].sum()
+        first = [sq[nz[:, i] & (support == 1)].sum() / d_tot for i in range(4)]
+        total = [sq[nz[:, i]].sum() / d_tot for i in range(4)]
+        assert np.array_equal(sobol_first(pce), first)
+        assert np.allclose(sobol_total(pce), total, rtol=0, atol=1e-15)
+        for (i, j), value in sobol_second(pce).items():
+            mask = (support == 2) & nz[:, i] & nz[:, j]
+            assert value == sq[mask].sum() / d_tot
+
 
 class TestReportAndScreening:
     def test_report_fields(self, two_var_pce):
