@@ -114,9 +114,6 @@ class MultiIndexSet:
     def __len__(self) -> int:
         return self.degrees.shape[0]
 
-    def total_degrees(self) -> np.ndarray:
-        return self.degrees.sum(axis=1)
-
     def to_sparse_pairs(self) -> list:
         """Rows as lists of (coordinate, degree) pairs, zero entries elided."""
         out = []
@@ -124,14 +121,6 @@ class MultiIndexSet:
             nz = np.nonzero(row)[0]
             out.append([(int(j), int(row[j])) for j in nz])
         return out
-
-    @classmethod
-    def from_sparse_pairs(cls, pairs, m: int, p: int, q: float) -> "MultiIndexSet":
-        degrees = np.zeros((len(pairs), m), dtype=np.int64)
-        for k, row in enumerate(pairs):
-            for j, d in row:
-                degrees[k, j] = d
-        return cls(degrees[_graded_lex_order(degrees)], p, q)
 
 
 def _graded_lex_order(degrees: np.ndarray) -> np.ndarray:

@@ -29,14 +29,9 @@ import yaml
 
 from . import __version__
 from .probability import Marginal, RandomVector
-from .sampling import ExperimentalDesign, lhs, load_responses_csv, nested_lhs_enrich
+from .sampling import ExperimentalDesign, lhs, nested_lhs_enrich
 from .regression import SparsePce, adaptive_fit, generalization_error
-from .sensitivity import (
-    grouped_sums,
-    repeated_subsample_study,
-    sobol_report,
-    univariate_effect,
-)
+from .sensitivity import repeated_subsample_study, sobol_report, univariate_effect
 from . import aquifer
 
 _CONFIG_DEFAULTS = {
@@ -48,17 +43,15 @@ _CONFIG_DEFAULTS = {
         "q": 0.5,
         "p_range": [1, 6],
         "scale": "original",
-        "early_stop": True,
         "use_enrichment": "none",
     },
-    "sobol": {
-        "screening_threshold": 0.01,
-        "grouping": "auto",
-        "top": 10,
-        "univariate_grid": 41,
-    },
+    "sobol": {"screening_threshold": 0.01, "grouping": "auto"},
     "study": {"subset_size": 200, "repetitions": 100, "seed": 0},
 }
+# keys a config may set that have no default
+_OPTIONAL_KEYS = {"design": {"enrichment"}, "model": {"command"}}
+# grid points of each univariate effect curve
+_EFFECT_POINTS = 41
 
 
 class ConfigError(ValueError):
@@ -68,13 +61,17 @@ class ConfigError(ValueError):
 _JOURNAL_FORMAT = "pcesobol-journal/1"
 
 
-def _merge(defaults, overrides):
+def _merge(defaults, overrides, section=None):
     out = dict(defaults)
-    for key, value in (overrides or {}).items():
-        if isinstance(value, dict) and isinstance(out.get(key), dict):
-            out[key] = _merge(out[key], value)
-        else:
-            out[key] = value
+    for key, value in overrides.items():
+        name = f"{section}.{key}" if section else key
+        if key not in defaults and key not in _OPTIONAL_KEYS.get(section, ()):
+            raise ConfigError(f"unknown config key {name!r}")
+        if isinstance(defaults.get(key), dict):
+            if not isinstance(value, dict):
+                raise ConfigError(f"{name} must be a mapping")
+            value = _merge(defaults[key], value, key)
+        out[key] = value
     return out
 
 
@@ -94,9 +91,16 @@ def load_config(path) -> dict:
 
 def _validate_config(cfg) -> None:
     fit = cfg["fit"]
-    lo, hi = fit["p_range"]
-    if not (1 <= int(lo) <= int(hi)):
-        raise ConfigError("fit.p_range must be [low, high] with 1 <= low <= high")
+    p_range = fit["p_range"]
+    if not (
+        isinstance(p_range, list)
+        and len(p_range) == 2
+        and all(type(p) is int for p in p_range)
+        and 1 <= p_range[0] <= p_range[1]
+    ):
+        raise ConfigError(
+            "fit.p_range must be two integers [low, high] with 1 <= low <= high"
+        )
     if not (0.0 < float(fit["q"]) <= 1.0):
         raise ConfigError("fit.q must lie in (0, 1]")
     if fit["scale"] not in ("original", "log"):
@@ -108,6 +112,11 @@ def _validate_config(cfg) -> None:
     thr = float(cfg["sobol"]["screening_threshold"])
     if not (0.0 <= thr <= 1.0):
         raise ConfigError("sobol.screening_threshold must lie in [0, 1]")
+    if cfg["sobol"]["grouping"] not in ("auto", "none"):
+        raise ConfigError("sobol.grouping must be 'auto' or 'none'")
+    n = cfg["design"]["n"]
+    if type(n) is not int or n < 1:
+        raise ConfigError("design.n must be an integer >= 1")
     model = cfg["model"]
     if model["kind"] not in ("demo", "external"):
         raise ConfigError("model.kind must be 'demo' or 'external'")
@@ -124,27 +133,40 @@ def _validate_config(cfg) -> None:
                 f" {exc}); its placeholders are {{input}}, {{output}} and"
                 " {index}, and literal braces are written {{ }}"
             ) from None
-    if cfg["random_vector"] == "demo":
-        return
-    if not isinstance(cfg["random_vector"], list):
-        raise ConfigError("random_vector must be 'demo' or a list of marginals")
+    cfg["_random_vector"] = _random_vector(cfg["random_vector"])
 
 
-def config_random_vector(cfg) -> RandomVector:
-    spec = cfg["random_vector"]
+def _random_vector(spec) -> RandomVector:
     if spec == "demo":
         return aquifer.random_vector(aquifer.default_model())
+    if not isinstance(spec, list):
+        raise ConfigError("random_vector must be 'demo' or a list of marginals")
     names, margs = [], []
-    for entry in spec:
-        names.append(str(entry["name"]))
-        kind = entry["kind"]
-        if kind == "uniform":
-            margs.append(Marginal.uniform(entry["lower"], entry["upper"]))
-        elif kind == "gaussian":
-            margs.append(Marginal.gaussian(entry["mean"], entry["sd"]))
-        else:
-            raise ConfigError(f"unknown marginal kind {kind!r}")
-    return RandomVector(tuple(names), tuple(margs))
+    try:
+        for entry in spec:
+            names.append(str(entry["name"]))
+            kind = entry["kind"]
+            if kind == "uniform":
+                margs.append(Marginal.uniform(entry["lower"], entry["upper"]))
+            elif kind == "gaussian":
+                margs.append(Marginal.gaussian(entry["mean"], entry["sd"]))
+            else:
+                raise ValueError(f"unknown marginal kind {kind!r}")
+        return RandomVector(tuple(names), tuple(margs))
+    except KeyError as exc:
+        raise ConfigError(f"random_vector: an entry has no {exc} key") from None
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"random_vector: {exc}") from None
+
+
+def _load_design(path, names, responses_path=None) -> ExperimentalDesign:
+    """A design CSV whose header must be ``names``, else ``ConfigError``."""
+    design = ExperimentalDesign.from_csv(path, responses_path)
+    try:
+        design.check_names(names)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+    return design
 
 
 def provenance(cfg, **extra) -> dict:
@@ -170,10 +192,10 @@ def _outdir(cfg) -> Path:
 
 
 def cmd_sample(cfg, out: Path | None = None) -> list:
-    rv = config_random_vector(cfg)
+    rv = cfg["_random_vector"]
     out = out or _outdir(cfg)
     design_cfg = cfg["design"]
-    design = lhs(int(design_cfg["n"]), rv, int(design_cfg["seed"]))
+    design = lhs(design_cfg["n"], rv, int(design_cfg["seed"]))
     written = []
     path = out / "design.csv"
     design.to_csv(path)
@@ -211,9 +233,7 @@ def _external_row(command, exchange_dir: Path, names, job):
     index, params = job
     inp = exchange_dir / f"row_{index:06d}.in.csv"
     outp = exchange_dir / f"row_{index:06d}.out"
-    with open(inp, "w") as fh:
-        fh.write(",".join(names) + "\n")
-        fh.write(",".join(f"{v:.17g}" for v in params) + "\n")
+    ExperimentalDesign(names, params).to_csv(inp)
     cmd = command.format(input=str(inp), output=str(outp), index=index)
     value, err = float("nan"), ""
     try:
@@ -283,17 +303,23 @@ def cmd_evaluate(cfg, design_path, out: Path | None = None) -> Path:
     finish; a re-run recomputes only rows without a recorded success.  The
     journal's first line binds it to the design points and the model
     settings (see ``journal_header``); a journal written for other inputs
-    is refused with ``ConfigError``.
+    is refused with ``ConfigError``, and so is a demo-model design whose
+    header is not the aquifer's parameter names, which it reads by
+    position.
     Failures are recorded per row (NaN in the final column) and reported
     at the end.  Rows of either model kind go to ``model.workers``
     processes one at a time, so no worker waits on another's batch.
     """
     outdir = out or _outdir(cfg)
-    design = ExperimentalDesign.from_csv(design_path)
+    model = cfg["model"]
+    if model["kind"] == "demo":
+        names = aquifer.parameter_names(aquifer.default_model())
+        design = _load_design(design_path, names)
+    else:
+        design = ExperimentalDesign.from_csv(design_path)
     journal = outdir / (Path(design_path).stem + ".partial.csv")
     final = outdir / (Path(design_path).stem + ".responses.csv")
 
-    model = cfg["model"]
     done = _read_journal(journal, journal_header(design, model))
     jobs = [(i, design.points[i]) for i in range(design.n) if i not in done]
     if model["kind"] == "demo":
@@ -318,9 +344,7 @@ def cmd_evaluate(cfg, design_path, out: Path | None = None) -> Path:
             jfh.flush()
 
     responses = np.array([done.get(i, float("nan")) for i in range(design.n)])
-    with open(final, "w") as fh:
-        fh.write("response\n")
-        np.savetxt(fh, responses, fmt="%.17g")
+    design.with_responses(responses).responses_to_csv(final)
     print(f"wrote {final} ({design.n - failures}/{design.n} rows ok)")
     if failures:
         raise SystemExit(f"{failures} row(s) failed; re-run to retry them")
@@ -339,16 +363,14 @@ def cmd_fit(
     out: Path | None = None,
 ) -> Path:
     outdir = out or _outdir(cfg)
-    rv = config_random_vector(cfg)
-    design = ExperimentalDesign.from_csv(design_path, responses_path)
+    rv = cfg["_random_vector"]
+    design = _load_design(design_path, rv.names, responses_path)
     fit_cfg = cfg["fit"]
-    lo, hi = (int(v) for v in fit_cfg["p_range"])
+    lo, hi = fit_cfg["p_range"]
 
     validation = None
     if validation_design:
-        validation = ExperimentalDesign.from_csv(
-            validation_design, validation_responses
-        )
+        validation = _load_design(validation_design, rv.names, validation_responses)
         if validation.responses is None:
             raise ConfigError("validation design needs responses")
 
@@ -363,7 +385,6 @@ def cmd_fit(
         range(lo, hi + 1),
         q=float(fit_cfg["q"]),
         scale=fit_cfg["scale"],
-        early_stop=bool(fit_cfg["early_stop"]),
     )
     if validation is not None:
         pce.err_gen = generalization_error(pce, validation)
@@ -409,8 +430,6 @@ def cmd_sobol(cfg, pce_path, grouping_path=None, out: Path | None = None) -> lis
             grouping = {str(k): str(v) for k, v in yaml.safe_load(fh).items()}
     elif scfg["grouping"] == "auto":
         grouping = _auto_grouping(pce.random_vector.names)
-    elif isinstance(scfg["grouping"], dict):
-        grouping = {str(k): str(v) for k, v in scfg["grouping"].items()}
 
     report = sobol_report(
         pce, threshold=float(scfg["screening_threshold"]), grouping=grouping
@@ -445,7 +464,7 @@ def cmd_sobol(cfg, pce_path, grouping_path=None, out: Path | None = None) -> lis
             )
     written.append(spath)
 
-    top = report.ranked(int(scfg["top"]))
+    top = report.ranked(10)
     tpath = outdir / "sobol_top.txt"
     with open(tpath, "w") as fh:
         fh.write(
@@ -464,14 +483,13 @@ def cmd_sobol(cfg, pce_path, grouping_path=None, out: Path | None = None) -> lis
                 fh.write(f"  {label:<12s} {v:.4f}\n")
     written.append(tpath)
 
-    grid_n = int(scfg["univariate_grid"])
     for name, _, _ in top:
         i = report.variable_names.index(name)
         marg = pce.random_vector.marginals[i]
         if marg.kind == "uniform":
-            grid = np.linspace(marg.a, marg.b, grid_n)
+            grid = np.linspace(marg.a, marg.b, _EFFECT_POINTS)
         else:
-            grid = np.linspace(marg.a - 3 * marg.b, marg.a + 3 * marg.b, grid_n)
+            grid = np.linspace(marg.a - 3 * marg.b, marg.a + 3 * marg.b, _EFFECT_POINTS)
         eff = univariate_effect(pce, i, grid)
         epath = outdir / f"effect_{name.replace(':', '_')}.csv"
         with open(epath, "w") as fh:
@@ -491,11 +509,11 @@ def cmd_sobol(cfg, pce_path, grouping_path=None, out: Path | None = None) -> lis
 
 def cmd_study(cfg, design_path, responses_path, out: Path | None = None) -> Path:
     outdir = out or _outdir(cfg)
-    rv = config_random_vector(cfg)
-    design = ExperimentalDesign.from_csv(design_path, responses_path)
+    rv = cfg["_random_vector"]
+    design = _load_design(design_path, rv.names, responses_path)
     scfg = cfg["study"]
     fit_cfg = cfg["fit"]
-    lo, hi = (int(v) for v in fit_cfg["p_range"])
+    lo, hi = fit_cfg["p_range"]
     study = repeated_subsample_study(
         design,
         design.responses,

@@ -134,20 +134,18 @@ class SparsePce:
         names = [e["name"] for e in doc["random_vector"]]
         margs = [Marginal(e["kind"], e["a"], e["b"]) for e in doc["random_vector"]]
         rv = RandomVector(tuple(names), tuple(margs))
-        pairs = [[(int(j), int(d)) for j, d in row] for row in doc["active_set"]]
-        aset = MultiIndexSet.from_sparse_pairs(
-            pairs, rv.m, doc["truncation"]["p"], doc["truncation"]["q"]
-        )
-        # rebuild coefficient order alongside the (re-sorted) active set
-        key = {tuple(sorted(row)): k for k, row in enumerate(pairs)}
-        coeffs = np.empty(len(pairs))
-        for k, row in enumerate(aset.to_sparse_pairs()):
-            coeffs[k] = doc["coefficients"][key[tuple(sorted(row))]]
+        # rows in file order: MultiIndexSet refuses any but graded-lex order
+        degrees = np.zeros((len(doc["active_set"]), rv.m), dtype=np.int64)
+        for k, row in enumerate(doc["active_set"]):
+            for j, d in row:
+                degrees[k, int(j)] = int(d)
         errors = doc["errors"]
         return cls(
             random_vector=rv,
-            active_set=aset,
-            coefficients=coeffs,
+            active_set=MultiIndexSet(
+                degrees, doc["truncation"]["p"], doc["truncation"]["q"]
+            ),
+            coefficients=doc["coefficients"],
             degree=doc["truncation"]["p"],
             q=doc["truncation"]["q"],
             err_loo=errors["loo"],
@@ -448,8 +446,10 @@ def hybrid_fit(
     """Fit a sparse expansion on a fixed candidate basis.
 
     LAR selects the predictors; every path prefix is refit by OLS and the
-    prefix with the smallest corrected LOO error is returned.
+    prefix with the smallest corrected LOO error is returned.  The design's
+    columns must be named as ``rv``'s inputs, in order.
     """
+    design.check_names(rv.names)
     y = _checked_responses(responses, design, scale)
     if scale == LOG:
         y = np.log(y)

@@ -9,7 +9,7 @@ samples of earlier ones.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,8 +26,6 @@ class ExperimentalDesign:
     names: tuple
     points: np.ndarray
     responses: np.ndarray | None = None
-    seed: int | None = None
-    provenance: str = "fresh"
 
     def __post_init__(self):
         self.names = tuple(self.names)
@@ -50,10 +48,18 @@ class ExperimentalDesign:
     def m(self) -> int:
         return self.points.shape[1]
 
+    def check_names(self, names) -> None:
+        """Raise ``ValueError`` unless the columns are ``names``, in order;
+        the message names the first column that differs."""
+        names = tuple(names)
+        if len(names) != self.m:
+            raise ValueError(f"design has {self.m} columns for {len(names)} inputs")
+        for k, (have, want) in enumerate(zip(self.names, names)):
+            if have != want:
+                raise ValueError(f"design column {k} is {have!r}, expected {want!r}")
+
     def with_responses(self, responses) -> "ExperimentalDesign":
-        return ExperimentalDesign(
-            self.names, self.points, responses, self.seed, self.provenance
-        )
+        return ExperimentalDesign(self.names, self.points, responses)
 
     def stacked(self, other: "ExperimentalDesign") -> "ExperimentalDesign":
         """Row-concatenate two designs over the same variables."""
@@ -68,8 +74,6 @@ class ExperimentalDesign:
             self.names,
             np.vstack([self.points, other.points]),
             responses,
-            self.seed,
-            f"union({self.provenance}, {other.provenance})",
         )
 
     # -- CSV interchange: header row of names, one row per point; responses
@@ -97,7 +101,7 @@ class ExperimentalDesign:
         else:
             points = np.empty((0, len(names)))
         responses = load_responses_csv(responses_path) if responses_path else None
-        return cls(names, points, responses, provenance="from-csv")
+        return cls(names, points, responses)
 
 
 def load_responses_csv(path) -> np.ndarray:
@@ -128,7 +132,7 @@ def lhs(n: int, rv: RandomVector, seed: int) -> ExperimentalDesign:
     for marg, rng in zip(rv.marginals, _column_streams(seed, rv.m)):
         p = (rng.permutation(n) + rng.random(n)) / n
         cols.append(marg.ppf(np.maximum(p, _P_FLOOR)))
-    return ExperimentalDesign(rv.names, np.column_stack(cols), seed=seed)
+    return ExperimentalDesign(rv.names, np.column_stack(cols))
 
 
 def nested_lhs_enrich(
@@ -136,40 +140,26 @@ def nested_lhs_enrich(
 ) -> ExperimentalDesign:
     """Enrich an LHS design so the union is approximately an LHS again.
 
-    Greedy stratum filling, coordinate by coordinate: on the refined
-    ``(N + n_add)``-level equal-probability grid, the strata left empty by
-    the base design are filled first (one uniform sample inside each);
-    column pairings of the new points are then randomly permuted.  When
-    ``n_add`` equals the base size the union is an exact Latin hypercube
-    per coordinate.
+    Stratum filling, coordinate by coordinate: on the refined
+    ``(N + n_add)``-level equal-probability grid, each new point takes its
+    own stratum among those the base design left empty (one uniform sample
+    inside it); column pairings of the new points are then randomly
+    permuted.  When ``n_add`` equals the base size the union is an exact
+    Latin hypercube per coordinate.
     """
     if n_add < 1:
         raise ValueError("enrichment size must be at least 1")
-    if base.m != rv.m:
-        raise ValueError(f"base design has M={base.m}, random vector M={rv.m}")
+    base.check_names(rv.names)
     n_total = base.n + n_add
     cols = []
     for j, (marg, rng) in enumerate(zip(rv.marginals, _column_streams(seed, rv.m))):
         p_base = marg.cdf(base.points[:, j])
         occupied = np.floor(p_base * n_total).astype(int)
         occupied = np.clip(occupied, 0, n_total - 1)
+        # N base points occupy at most N of the N + n_add strata
         empty = np.setdiff1d(np.arange(n_total), occupied)
-        if empty.size >= n_add:
-            strata = rng.choice(empty, size=n_add, replace=False)
-        else:
-            # base collided on the fine grid; fill what we can, then spread
-            extra = rng.choice(
-                np.setdiff1d(np.arange(n_total), empty),
-                size=n_add - empty.size,
-                replace=False,
-            )
-            strata = np.concatenate([empty, extra])
+        strata = rng.choice(empty, size=n_add, replace=False)
         p_new = (strata + rng.random(n_add)) / n_total
         col = marg.ppf(np.maximum(p_new, _P_FLOOR))
         cols.append(col[rng.permutation(n_add)])
-    return ExperimentalDesign(
-        rv.names,
-        np.column_stack(cols),
-        seed=seed,
-        provenance=f"enrichment-of(seed={base.seed})",
-    )
+    return ExperimentalDesign(rv.names, np.column_stack(cols))

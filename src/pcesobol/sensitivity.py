@@ -14,7 +14,7 @@ transform, so every report carries the response scale it was computed in.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -291,12 +291,7 @@ def repeated_subsample_study(
     for r, stream in enumerate(streams):
         rng = np.random.default_rng(stream)
         rows = rng.choice(design.n, size=subset_size, replace=False)
-        sub = ExperimentalDesign(
-            design.names,
-            design.points[rows],
-            seed=design.seed,
-            provenance=f"subsample({r})",
-        )
+        sub = ExperimentalDesign(design.names, design.points[rows])
         pce, _ = adaptive_fit(sub, y[rows], rv, p_range, q, scale)
         totals[r] = sobol_total(pce)
     return SubsampleStudy(tuple(design.names), totals, subset_size, seed)

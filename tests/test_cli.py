@@ -59,6 +59,20 @@ class TestConfig:
             {"model": {"workers": "two"}},
             {"model": {"workers": 1.5}},
             {"model": {"workers": 0}},
+            {"fit": {"p_range": [1]}},
+            {"fit": {"p_range": [1.0, 3]}},
+            {"fit": 3},
+            {"fit": {"p_rang": [1, 3]}},
+            {"fit": {"early_stop": False}},
+            {"sobol": {"top": 5}},
+            {"sobol": {"grouping": {"x1": "g", "x2": "g", "x3": "g"}}},
+            {"design": {"n": 0}},
+            {"design": {"n": "abc"}},
+            {"random_vector": [{"kind": "uniform", "lower": 0, "upper": 1}]},
+            {"random_vector": [{"name": "a", "kind": "uniform", "lower": 1, "upper": 1}]},
+            {"random_vector": [dict(THREE_UNIFORMS[0]), dict(THREE_UNIFORMS[0])]},
+            {"random_vector": [{"name": "a", "kind": "beta"}]},
+            {"random_vector": ["x1"]},
         ):
             path = write_config(tmp_path / "bad.yaml", **overrides)
             with pytest.raises(ConfigError):
@@ -72,6 +86,22 @@ class TestConfig:
         assert err.startswith("pcesobol: error: model.command")
         assert "{{ }}" in err
         assert err.count("\n") == 1
+
+
+def swap_header(design_path):
+    """Swap the names of a design CSV's first two columns."""
+    header, body = design_path.read_text().split("\n", 1)
+    names = header.split(",")
+    names[:2] = names[1::-1]
+    design_path.write_text(",".join(names) + "\n" + body)
+
+
+def assert_one_line_error(capsys, *fragments):
+    err = capsys.readouterr().err
+    assert err.startswith("pcesobol: error: ")
+    assert err.count("\n") == 1
+    for fragment in fragments:
+        assert fragment in err
 
 
 class TestSample:
@@ -304,6 +334,21 @@ class TestEvaluate:
         responses = load_responses_csv(tmp_path / "out" / "nominal.responses.csv")
         assert 40_000.0 <= responses[0] <= 200_000.0
 
+    def test_demo_design_header_must_be_aquifer_names(self, tmp_path, capsys):
+        from pcesobol import aquifer as aq
+
+        model = aq.default_model()
+        cfg = write_config(tmp_path / "run.yaml", model={"kind": "demo"})
+        design = tmp_path / "nominal.csv"
+        names = aq.parameter_names(model)
+        ExperimentalDesign(names, aq.nominal_parameters(model)).to_csv(design)
+        swap_header(design)
+        status = main(["evaluate", "--config", str(cfg), "--design", str(design)])
+        assert status == 2
+        a, b = names[:2]
+        assert_one_line_error(capsys, f"design column 0 is {b!r}, expected {a!r}")
+        assert not (tmp_path / "out" / "nominal.responses.csv").exists()
+
 
 def prepare_ishigami_run(tmp_path, n=200, seed=42, p_max=12, scale="original"):
     cfg = write_config(
@@ -334,6 +379,18 @@ class TestFit:
         assert doc["truncation"]["p"] == 1
         assert len(doc["provenance"]["sweep"]) == 1
         assert doc["provenance"]["config_sha256"]
+
+    def test_design_header_must_match_random_vector(self, tmp_path, capsys):
+        cfg, design, responses = prepare_ishigami_run(tmp_path, n=40, p_max=1)
+        swap_header(design)
+        capsys.readouterr()
+        status = main(
+            ["fit", "--config", str(cfg),
+             "--design", str(design), "--responses", str(responses)]
+        )
+        assert status == 2
+        assert_one_line_error(capsys, "design column 0 is 'x2', expected 'x1'")
+        assert not (tmp_path / "out" / "pce.json").exists()
 
     def test_validation_set_reports_generalization_error(self, tmp_path):
         cfg, design, responses = prepare_ishigami_run(tmp_path, n=150, p_max=10)
@@ -497,6 +554,18 @@ class TestStudy:
         lines = (tmp_path / "out" / "subsample_study.csv").read_text().splitlines()
         assert lines[0] == "variable,median,q25,q75"
         assert len(lines) == 4
+
+    def test_design_header_must_match_random_vector(self, tmp_path, capsys):
+        cfg, design, responses = prepare_ishigami_run(tmp_path, n=40, p_max=1)
+        swap_header(design)
+        capsys.readouterr()
+        status = main(
+            ["study", "--config", str(cfg),
+             "--design", str(design), "--responses", str(responses)]
+        )
+        assert status == 2
+        assert_one_line_error(capsys, "design column 0 is 'x2', expected 'x1'")
+        assert not (tmp_path / "out" / "subsample_study.csv").exists()
 
 
 class TestFullPipeline:

@@ -1,10 +1,12 @@
 """Property tests (hypothesis) for the enumeration, the ``pce.json`` round
-trip and the Sobol' partition, on small random inputs."""
+trip, the Sobol' partition and the Latin hypercube designs, on small random
+inputs."""
 
 import itertools
 import json
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,6 +16,8 @@ from pcesobol import (
     RandomVector,
     SparsePce,
     enumerate_hyperbolic,
+    lhs,
+    nested_lhs_enrich,
     sobol_group,
 )
 
@@ -23,13 +27,32 @@ q_values = st.floats(min_value=0.1, max_value=1.0)
 
 
 @st.composite
+def random_vectors(draw, max_m=3):
+    """1 to ``max_m`` independent uniform or gaussian inputs."""
+    margs = []
+    for _ in range(draw(st.integers(1, max_m))):
+        lo = draw(st.floats(-100.0, 100.0))
+        if draw(st.booleans()):
+            margs.append(Marginal.uniform(lo, lo + draw(st.floats(0.1, 50.0))))
+        else:
+            margs.append(Marginal.gaussian(lo, draw(st.floats(0.1, 50.0))))
+    return RandomVector(tuple(f"x{i}" for i in range(len(margs))), tuple(margs))
+
+
+def strata(marg, column, levels):
+    """Equal-probability stratum of each value on a ``levels``-level grid."""
+    ids = np.floor(marg.cdf(column) * levels).astype(int)
+    return np.clip(ids, 0, levels - 1)
+
+
+@st.composite
 def sparse_pces(draw):
     """A random expansion in 1-4 inputs: a subset of a hyperbolic set that
     keeps the zero index, with nonzero variance."""
-    m = draw(st.integers(1, 4))
+    rv = draw(random_vectors(max_m=4))
     p = draw(st.integers(1, 5))
     q = draw(q_values)
-    full = enumerate_hyperbolic(m, p, q)
+    full = enumerate_hyperbolic(rv.m, p, q)
     keep = [0] + sorted(
         draw(st.sets(st.integers(1, len(full) - 1), min_size=1, max_size=12))
     )
@@ -40,14 +63,6 @@ def sparse_pces(draw):
             max_size=len(keep),
         )
     )
-    margs = []
-    for _ in range(m):
-        lo = draw(st.floats(-100.0, 100.0))
-        if draw(st.booleans()):
-            margs.append(Marginal.uniform(lo, lo + draw(st.floats(0.1, 50.0))))
-        else:
-            margs.append(Marginal.gaussian(lo, draw(st.floats(0.1, 50.0))))
-    rv = RandomVector(tuple(f"x{i}" for i in range(m)), tuple(margs))
     aset = MultiIndexSet(full.degrees[keep], p, q)
     return SparsePce(
         random_vector=rv,
@@ -107,3 +122,50 @@ def test_sobol_partition_sums_to_one(pce):
         itertools.combinations(range(m), k) for k in range(1, m + 1)
     )
     assert abs(sum(sobol_group(pce, u) for u in subsets) - 1.0) < 1e-12
+
+
+@PROPERTY
+@given(sparse_pces(), st.data())
+def test_pce_json_with_rows_out_of_order_refused(pce, data):
+    doc = json.loads(json.dumps(pce.to_dict()))
+    rows = st.integers(0, len(pce.active_set) - 1)
+    i, j = sorted(data.draw(st.sets(rows, min_size=2, max_size=2)))
+    for key in ("active_set", "coefficients"):
+        doc[key][i], doc[key][j] = doc[key][j], doc[key][i]
+    with pytest.raises(ValueError, match="graded-lex"):
+        SparsePce.from_dict(doc)
+
+
+@PROPERTY
+@given(st.integers(1, 40), random_vectors(), st.integers(0, 2**32 - 1))
+def test_lhs_one_point_per_stratum(n, rv, seed):
+    design = lhs(n, rv, seed)
+    for j, marg in enumerate(rv.marginals):
+        assert sorted(strata(marg, design.points[:, j], n)) == list(range(n))
+
+
+@PROPERTY
+@given(
+    st.integers(1, 30),
+    st.integers(1, 30),
+    random_vectors(),
+    st.integers(0, 2**32 - 1),
+    st.integers(0, 2**32 - 1),
+)
+def test_enrichment_fills_empty_strata(n, n_add, rv, seed, seed_add):
+    base = lhs(n, rv, seed)
+    extra = nested_lhs_enrich(base, n_add, rv, seed_add)
+    levels = n + n_add
+    for j, marg in enumerate(rv.marginals):
+        new = strata(marg, extra.points[:, j], levels)
+        assert len(set(new)) == n_add
+        assert not set(new) & set(strata(marg, base.points[:, j], levels))
+
+
+@PROPERTY
+@given(st.integers(1, 30), random_vectors(), st.integers(0, 2**32 - 1))
+def test_enrichment_of_equal_size_is_latin_hypercube(n, rv, seed):
+    base = lhs(n, rv, seed)
+    union = base.stacked(nested_lhs_enrich(base, n, rv, seed + 1))
+    for j, marg in enumerate(rv.marginals):
+        assert sorted(strata(marg, union.points[:, j], 2 * n)) == list(range(2 * n))

@@ -258,7 +258,7 @@ class TestHybridFit:
         rv, candidate, design, y, _, _ = synthetic_sparse_truth(rng, n=60)
         pce = hybrid_fit(candidate, design, y + 0.01 * rng.normal(size=60), rv)
         assert np.all(pce.active_set.degrees[0] == 0)
-        totals = pce.active_set.total_degrees()
+        totals = pce.active_set.degrees.sum(axis=1)
         assert np.all(np.diff(totals) >= 0)
 
     def test_deterministic(self):
@@ -295,6 +295,15 @@ class TestHybridFit:
             hybrid_fit(candidate, design, y, rv)
         with pytest.raises(ValueError, match="rows 4, 17"):
             adaptive_fit(design, y, rv, range(1, 4), q=1.0)
+
+    def test_design_names_must_match_inputs(self):
+        rv = unit_rv(2)
+        design = lhs(20, rv, seed=1)
+        swapped = ExperimentalDesign(("x1", "x0"), design.points)
+        with pytest.raises(ValueError, match="column 0 is 'x1', expected 'x0'"):
+            hybrid_fit(
+                enumerate_hyperbolic(2, 2, 1.0), swapped, design.points[:, 0], rv
+            )
 
     def test_too_few_points_rejected(self):
         rv = unit_rv(2)

@@ -98,12 +98,6 @@ class TestNestedEnrichment:
         with pytest.raises(ValueError):
             nested_lhs_enrich(base, 4, other, seed=2)
 
-    def test_provenance_recorded(self):
-        base = lhs(4, rv2(), seed=1)
-        extra = nested_lhs_enrich(base, 4, rv2(), seed=2)
-        assert extra.provenance == "enrichment-of(seed=1)"
-        assert base.provenance == "fresh"
-
 
 class TestDesignIO:
     def test_csv_round_trip(self, tmp_path):
