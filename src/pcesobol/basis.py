@@ -17,7 +17,6 @@ norm factors anywhere downstream.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -129,37 +128,14 @@ def _graded_lex_order(degrees: np.ndarray) -> np.ndarray:
     return np.lexsort(keys)
 
 
-def _degree_patterns(p: int, q: float):
-    """Nonincreasing tuples of positive degrees satisfying the q-norm bound.
-
-    These are the sparse 'shapes' of admissible multi-indices; the actual
-    set is produced by distributing each shape over the coordinates.  The
-    empty tuple (the zero index) is included.
-    """
-    budget = float(p) ** q + _NORM_TOL
-    patterns = []
-
-    def descend(prefix, remaining, d_cap):
-        patterns.append(tuple(prefix))
-        d_max = min(d_cap, int(remaining ** (1.0 / q) + 1e-9)) if remaining > 0 else 0
-        for d in range(d_max, 0, -1):
-            cost = float(d) ** q
-            if cost <= remaining:
-                prefix.append(d)
-                descend(prefix, remaining - cost, d)
-                prefix.pop()
-
-    descend([], budget, p)
-    return patterns
-
-
 def enumerate_hyperbolic(m: int, p: int, q: float) -> MultiIndexSet:
     """All multi-indices with (sum_i a_i^q)^(1/q) <= p, graded-lex ordered.
 
-    Enumeration goes through sparse degree patterns and their coordinate
-    placements rather than filtering a total-degree hypercube, so large
-    dimensions stay cheap: the full q=1 candidate set can be astronomically
-    large where the hyperbolic set has only ~1e5 members.
+    The set grows one coordinate at a time: every admissible row over the
+    first j coordinates is extended by each degree that keeps its running
+    sum of a_i^q within p^q.  No total-degree hypercube is filtered, and no
+    intermediate array outgrows the result, because a row over j
+    coordinates padded with zeros is itself a member of the final set.
     """
     if m < 1:
         raise ValueError("dimension must be at least 1")
@@ -168,36 +144,15 @@ def enumerate_hyperbolic(m: int, p: int, q: float) -> MultiIndexSet:
     if not (0.0 < q <= 1.0):
         raise ValueError(f"q must lie in (0, 1], got {q}")
 
-    rows = []
-    for pattern in _degree_patterns(p, q):
-        if len(pattern) > m:
-            continue
-        # multiplicities of the distinct degree values, largest first
-        values = [(d, len(list(g))) for d, g in itertools.groupby(pattern)]
-        rows.extend(_place_pattern(values, m))
-    degrees = np.array(rows, dtype=np.int16)
-    degrees = degrees[_graded_lex_order(degrees)]
-    return MultiIndexSet(degrees, p, q)
-
-
-def _place_pattern(values, m: int):
-    """Distribute degree values with multiplicities over m coordinates."""
-    rows = []
-
-    def rec(avail, vi, partial):
-        if vi == len(values):
-            row = [0] * m
-            for j, d in partial:
-                row[j] = d
-            rows.append(row)
-            return
-        d, mult = values[vi]
-        for combo in itertools.combinations(avail, mult):
-            remaining = tuple(c for c in avail if c not in combo)
-            rec(remaining, vi + 1, partial + [(j, d) for j in combo])
-
-    rec(tuple(range(m)), 0, [])
-    return rows
+    budget = float(p) ** q + _NORM_TOL
+    cost = np.arange(p + 1, dtype=float) ** q
+    rows = np.zeros((1, 0), dtype=np.int16)
+    norms = np.zeros(1)
+    for _ in range(m):
+        r, d = np.nonzero(norms[:, None] + cost <= budget)
+        rows = np.column_stack([rows[r], d.astype(np.int16)])
+        norms = norms[r] + cost[d]
+    return MultiIndexSet(rows[_graded_lex_order(rows)], p, q)
 
 
 def eval_basis_matrix(mset: MultiIndexSet, u_points, families) -> np.ndarray:

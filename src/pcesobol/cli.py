@@ -89,6 +89,15 @@ def load_config(path) -> dict:
     return cfg
 
 
+def _check_int(cfg, key, low) -> None:
+    """Refuse the dotted config ``key`` unless it is an integer >= ``low``."""
+    value = cfg
+    for part in key.split("."):
+        value = value[part]
+    if type(value) is not int or value < low:
+        raise ConfigError(f"{key} must be an integer >= {low}")
+
+
 def _validate_config(cfg) -> None:
     fit = cfg["fit"]
     p_range = fit["p_range"]
@@ -101,27 +110,34 @@ def _validate_config(cfg) -> None:
         raise ConfigError(
             "fit.p_range must be two integers [low, high] with 1 <= low <= high"
         )
-    if not (0.0 < float(fit["q"]) <= 1.0):
-        raise ConfigError("fit.q must lie in (0, 1]")
+    q = fit["q"]
+    if not (type(q) in (int, float) and 0.0 < q <= 1.0):
+        raise ConfigError("fit.q must be a number in (0, 1]")
     if fit["scale"] not in ("original", "log"):
         raise ConfigError("fit.scale must be 'original' or 'log'")
     if fit["use_enrichment"] not in ("none", "validation", "joint"):
         raise ConfigError(
             "fit.use_enrichment must be 'none', 'validation' or 'joint'"
         )
-    thr = float(cfg["sobol"]["screening_threshold"])
-    if not (0.0 <= thr <= 1.0):
-        raise ConfigError("sobol.screening_threshold must lie in [0, 1]")
+    thr = cfg["sobol"]["screening_threshold"]
+    if not (type(thr) in (int, float) and 0.0 <= thr <= 1.0):
+        raise ConfigError("sobol.screening_threshold must be a number in [0, 1]")
     if cfg["sobol"]["grouping"] not in ("auto", "none"):
         raise ConfigError("sobol.grouping must be 'auto' or 'none'")
-    n = cfg["design"]["n"]
-    if type(n) is not int or n < 1:
-        raise ConfigError("design.n must be an integer >= 1")
+    ints = {"design.n": 1, "design.seed": 0, "model.workers": 1,
+            "study.subset_size": 1, "study.repetitions": 1, "study.seed": 0}
+    enrich = cfg["design"].get("enrichment")
+    if enrich is not None:
+        if not (isinstance(enrich, dict) and set(enrich) == {"n", "seed"}):
+            raise ConfigError(
+                "design.enrichment must be a mapping with keys n and seed"
+            )
+        ints.update({"design.enrichment.n": 1, "design.enrichment.seed": 0})
+    for key, low in ints.items():
+        _check_int(cfg, key, low)
     model = cfg["model"]
     if model["kind"] not in ("demo", "external"):
         raise ConfigError("model.kind must be 'demo' or 'external'")
-    if type(model["workers"]) is not int or model["workers"] < 1:
-        raise ConfigError("model.workers must be an integer >= 1")
     if model["kind"] == "external":
         if not model.get("command"):
             raise ConfigError("external models need model.command")
@@ -195,16 +211,14 @@ def cmd_sample(cfg, out: Path | None = None) -> list:
     rv = cfg["_random_vector"]
     out = out or _outdir(cfg)
     design_cfg = cfg["design"]
-    design = lhs(design_cfg["n"], rv, int(design_cfg["seed"]))
+    design = lhs(design_cfg["n"], rv, design_cfg["seed"])
     written = []
     path = out / "design.csv"
     design.to_csv(path)
     written.append(path)
     enrich = design_cfg.get("enrichment")
     if enrich:
-        extra = nested_lhs_enrich(
-            design, int(enrich["n"]), rv, int(enrich["seed"])
-        )
+        extra = nested_lhs_enrich(design, enrich["n"], rv, enrich["seed"])
         epath = out / "design_enrichment.csv"
         extra.to_csv(epath)
         written.append(epath)
@@ -427,7 +441,15 @@ def cmd_sobol(cfg, pce_path, grouping_path=None, out: Path | None = None) -> lis
     grouping = None
     if grouping_path:
         with open(grouping_path) as fh:
-            grouping = {str(k): str(v) for k, v in yaml.safe_load(fh).items()}
+            raw = yaml.safe_load(fh)
+        if not isinstance(raw, dict):
+            raise ConfigError(f"{grouping_path}: grouping must map variable -> group")
+        grouping = {str(k): str(v) for k, v in raw.items()}
+        missing = [n for n in pce.random_vector.names if n not in grouping]
+        if missing:
+            raise ConfigError(
+                f"{grouping_path}: grouping misses variables {missing[:5]}"
+            )
     elif scfg["grouping"] == "auto":
         grouping = _auto_grouping(pce.random_vector.names)
 
@@ -518,9 +540,9 @@ def cmd_study(cfg, design_path, responses_path, out: Path | None = None) -> Path
         design,
         design.responses,
         rv,
-        subset_size=int(scfg["subset_size"]),
-        repetitions=int(scfg["repetitions"]),
-        seed=int(scfg["seed"]),
+        subset_size=scfg["subset_size"],
+        repetitions=scfg["repetitions"],
+        seed=scfg["seed"],
         p_range=range(lo, hi + 1),
         q=float(fit_cfg["q"]),
         scale=fit_cfg["scale"],

@@ -487,12 +487,11 @@ def adaptive_fit(
     p_range,
     q: float,
     scale: str = ORIGINAL,
-    early_stop: bool = True,
 ):
     """Degree-adaptive fit: sweep p, keep the smallest corrected LOO error.
 
     ``p_range`` is an iterable of candidate maximum degrees, swept in
-    ascending order.  With ``early_stop`` (default) the sweep ends after
+    ascending order.  Once a degree has been fitted, the sweep ends after
     three consecutive degrees without improvement.  Ties go to the smaller
     degree.  Returns ``(best_pce, diagnostics)``.
     """
@@ -513,18 +512,14 @@ def adaptive_fit(
         except (RuntimeError, np.linalg.LinAlgError) as exc:
             diag.add(p, len(candidate), None, None, f"failed: {exc}")
             last_error = exc
-            stall += 1
-            if early_stop and stall >= 3 and best is not None:
-                break
-            continue
-        diag.add(p, len(candidate), len(pce.active_set), pce.err_loo_corrected)
-        if best is None or pce.err_loo_corrected < best.err_loo_corrected:
-            best = pce
-            stall = 0
         else:
-            stall += 1
-            if early_stop and stall >= 3:
-                break
+            diag.add(p, len(candidate), len(pce.active_set), pce.err_loo_corrected)
+            if best is None or pce.err_loo_corrected < best.err_loo_corrected:
+                best, stall = pce, 0
+                continue
+        stall += 1
+        if stall >= 3 and best is not None:
+            break
     if best is None:
         raise RuntimeError(f"every degree in the sweep failed: {last_error}")
     diag.selected_p = best.degree

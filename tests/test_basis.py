@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -92,6 +93,25 @@ class TestEnumeration:
 
     def test_paper_scale_counts(self):
         assert len(enumerate_hyperbolic(78, 8, 0.5)) == 18643
+
+    @pytest.mark.parametrize(
+        "m,q,sizes,digest",
+        [
+            (78, 0.5, [79, 157, 235, 3316, 3394, 9478],
+             "7336d77a735e97d0ba299f2cec56cfdc4eb51a686ec9deb9d3f4183776f5275e"),
+            (3, 1.0, [4, 10, 20, 35, 56, 84, 120, 165, 220, 286, 364, 455],
+             "24111ec210ee49cc2ba4ad6bb3437798761a82d7bd94d17a0c4a93152dfe13ac"),
+        ],
+        ids=["screening", "ishigami"],
+    )
+    def test_workload_sweeps_pinned(self, m, q, sizes, digest):
+        # the degree sweeps of the screening and Ishigami fits; at m = 78
+        # no brute force can check the sets, so their bytes are pinned
+        sets = [enumerate_hyperbolic(m, p, q).degrees for p in range(1, len(sizes) + 1)]
+        assert all(d.dtype == np.int16 for d in sets)
+        assert [len(d) for d in sets] == sizes
+        blob = np.concatenate(sets).tobytes()
+        assert hashlib.sha256(blob).hexdigest() == digest
 
     def test_invalid_q(self):
         with pytest.raises(ValueError):

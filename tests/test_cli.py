@@ -68,6 +68,17 @@ class TestConfig:
             {"sobol": {"grouping": {"x1": "g", "x2": "g", "x3": "g"}}},
             {"design": {"n": 0}},
             {"design": {"n": "abc"}},
+            {"design": {"seed": -1}},
+            {"design": {"seed": "abc"}},
+            {"design": {"enrichment": {"n": 0, "seed": 1}}},
+            {"design": {"enrichment": {"n": 4, "seed": -1}}},
+            {"design": {"enrichment": {"n": 4}}},
+            {"design": {"enrichment": 5}},
+            {"fit": {"q": "abc"}},
+            {"sobol": {"screening_threshold": "abc"}},
+            {"study": {"subset_size": "x"}},
+            {"study": {"repetitions": 0}},
+            {"study": {"seed": 1.5}},
             {"random_vector": [{"kind": "uniform", "lower": 0, "upper": 1}]},
             {"random_vector": [{"name": "a", "kind": "uniform", "lower": 1, "upper": 1}]},
             {"random_vector": [dict(THREE_UNIFORMS[0]), dict(THREE_UNIFORMS[0])]},
@@ -536,6 +547,25 @@ class TestSobol:
         doc = json.loads((tmp_path / "out" / "sobol_report.json").read_text())
         by_name = {v["name"]: v for v in doc["variables"]}
         assert by_name["x3"]["total"] == 0.0
+
+    def test_bad_grouping_file_is_one_line(self, tmp_path, capsys):
+        cfg, design, responses = prepare_ishigami_run(tmp_path, n=40, p_max=1)
+        main(
+            ["fit", "--config", str(cfg), "--design", str(design),
+             "--responses", str(responses)]
+        )
+        grouping = tmp_path / "groups.yaml"
+        for content in (["x1", "x2", "x3"], {"x1": "odd", "x3": "odd"}):
+            with open(grouping, "w") as fh:
+                yaml.safe_dump(content, fh)
+            capsys.readouterr()
+            status = main(
+                ["sobol", "--config", str(cfg), "--pce",
+                 str(tmp_path / "out" / "pce.json"), "--grouping", str(grouping)]
+            )
+            assert status == 2
+            assert_one_line_error(capsys, str(grouping))
+        assert not (tmp_path / "out" / "sobol_report.json").exists()
 
 
 class TestStudy:

@@ -344,7 +344,7 @@ class TestAdaptiveFit:
         design = lhs(60, rv, seed=5)
         x = design.points
         y = 1.0 + x[:, 0] + 0.5 * x[:, 1] ** 2
-        pce, diag = adaptive_fit(design, y, rv, range(1, 7), q=1.0, early_stop=False)
+        pce, diag = adaptive_fit(design, y, rv, range(1, 7), q=1.0)
         assert pce.degree == 2
         assert diag.selected_p == 2
 
@@ -360,7 +360,7 @@ class TestAdaptiveFit:
         rv = unit_rv(2)
         design = lhs(40, rv, seed=7)
         y = np.sin(design.points[:, 0])
-        _, diag = adaptive_fit(design, y, rv, range(1, 5), q=0.5, early_stop=False)
+        _, diag = adaptive_fit(design, y, rv, range(1, 5), q=0.5)
         assert [row["p"] for row in diag.rows] == [1, 2, 3, 4]
 
     def test_redundant_candidates_do_not_hurt_selection(self):
@@ -370,14 +370,14 @@ class TestAdaptiveFit:
         x = design.points
         y = x[:, 0] + x[:, 1] * x[:, 0] + 0.02 * rng.normal(size=80)
         lean, _ = adaptive_fit(design, y, rv, range(1, 3), q=1.0)
-        rich, _ = adaptive_fit(design, y, rv, range(1, 6), q=1.0, early_stop=False)
+        rich, _ = adaptive_fit(design, y, rv, range(1, 6), q=1.0)
         assert rich.err_loo_corrected <= lean.err_loo_corrected * (1 + 1e-9)
 
     def test_early_stop_truncates_sweep(self):
         rv = unit_rv(2)
         design = lhs(50, rv, seed=9)
         y = design.points[:, 0]  # linear truth: no degree beyond 1 helps
-        _, diag = adaptive_fit(design, y, rv, range(1, 12), q=1.0, early_stop=True)
+        _, diag = adaptive_fit(design, y, rv, range(1, 12), q=1.0)
         assert len(diag.rows) < 11
 
     def test_log_scale_fit(self):
