@@ -29,7 +29,7 @@ import yaml
 
 from . import __version__
 from .probability import Marginal, RandomVector
-from .sampling import ExperimentalDesign, lhs, nested_lhs_enrich
+from .sampling import ExperimentalDesign, lhs, nested_lhs_enrich, write_csv
 from .regression import SparsePce, adaptive_fit, generalization_error
 from .sensitivity import repeated_subsample_study, sobol_report, univariate_effect
 from . import aquifer
@@ -198,18 +198,17 @@ def provenance(cfg, **extra) -> dict:
     return doc
 
 
-def _outdir(cfg) -> Path:
-    out = Path(cfg["output_dir"])
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+def _write_json(path, doc) -> None:
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=1)
+        fh.write("\n")
 
 
 # -- sample -------------------------------------------------------------------
 
 
-def cmd_sample(cfg, out: Path | None = None) -> list:
+def cmd_sample(cfg, out: Path) -> list:
     rv = cfg["_random_vector"]
-    out = out or _outdir(cfg)
     design_cfg = cfg["design"]
     design = lhs(design_cfg["n"], rv, design_cfg["seed"])
     written = []
@@ -310,7 +309,7 @@ def _read_journal(journal: Path, header: str) -> dict:
     return done
 
 
-def cmd_evaluate(cfg, design_path, out: Path | None = None) -> Path:
+def cmd_evaluate(cfg, design_path, out: Path) -> Path:
     """Evaluate the model at every design row, resumably.
 
     Completed rows are journaled to ``<design>.partial.csv`` as they
@@ -324,22 +323,21 @@ def cmd_evaluate(cfg, design_path, out: Path | None = None) -> Path:
     at the end.  Rows of either model kind go to ``model.workers``
     processes one at a time, so no worker waits on another's batch.
     """
-    outdir = out or _outdir(cfg)
     model = cfg["model"]
     if model["kind"] == "demo":
         names = aquifer.parameter_names(aquifer.default_model())
         design = _load_design(design_path, names)
     else:
         design = ExperimentalDesign.from_csv(design_path)
-    journal = outdir / (Path(design_path).stem + ".partial.csv")
-    final = outdir / (Path(design_path).stem + ".responses.csv")
+    journal = out / (Path(design_path).stem + ".partial.csv")
+    final = out / (Path(design_path).stem + ".responses.csv")
 
     done = _read_journal(journal, journal_header(design, model))
     jobs = [(i, design.points[i]) for i in range(design.n) if i not in done]
     if model["kind"] == "demo":
         row = _demo_row
     else:
-        exchange = outdir / "exchange"
+        exchange = out / "exchange"
         exchange.mkdir(exist_ok=True)
         row = partial(_external_row, model["command"], exchange, design.names)
 
@@ -374,9 +372,9 @@ def cmd_fit(
     responses_path,
     validation_design=None,
     validation_responses=None,
-    out: Path | None = None,
+    *,
+    out: Path,
 ) -> Path:
-    outdir = out or _outdir(cfg)
     rv = cfg["_random_vector"]
     design = _load_design(design_path, rv.names, responses_path)
     fit_cfg = cfg["fit"]
@@ -403,7 +401,7 @@ def cmd_fit(
     if validation is not None:
         pce.err_gen = generalization_error(pce, validation)
 
-    path = outdir / "pce.json"
+    path = out / "pce.json"
     pce.save(
         path,
         extra=provenance(
@@ -433,8 +431,7 @@ def _auto_grouping(names):
     ) else None
 
 
-def cmd_sobol(cfg, pce_path, grouping_path=None, out: Path | None = None) -> list:
-    outdir = out or _outdir(cfg)
+def cmd_sobol(cfg, pce_path, grouping_path=None, *, out: Path) -> list:
     pce = SparsePce.load(pce_path)
     scfg = cfg["sobol"]
 
@@ -458,36 +455,28 @@ def cmd_sobol(cfg, pce_path, grouping_path=None, out: Path | None = None) -> lis
     )
     written = []
 
-    rpath = outdir / "sobol_report.json"
+    rpath = out / "sobol_report.json"
     doc = report.to_dict()
     doc["provenance"] = provenance(cfg, pce=str(pce_path))
     doc["provenance"]["response_scale"] = pce.response_scale
-    with open(rpath, "w") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+    _write_json(rpath, doc)
     written.append(rpath)
 
-    fpath = outdir / "sobol_first_total.csv"
-    with open(fpath, "w") as fh:
-        fh.write("variable,first_order,total,important\n")
-        for i, name in enumerate(report.variable_names):
-            fh.write(
-                f"{name},{report.first_order[i]:.17g},{report.total[i]:.17g},"
-                f"{int(name in report.important)}\n"
-            )
+    names = report.variable_names
+    fpath = out / "sobol_first_total.csv"
+    columns = ("variable", "first_order", "total", "important")
+    important = (int(name in report.important) for name in names)
+    write_csv(fpath, columns, zip(names, report.first_order, report.total, important))
     written.append(fpath)
 
-    spath = outdir / "sobol_second_order.csv"
-    with open(spath, "w") as fh:
-        fh.write("variable_i,variable_j,index\n")
-        for (i, j), v in sorted(report.second_order.items(), key=lambda kv: -kv[1]):
-            fh.write(
-                f"{report.variable_names[i]},{report.variable_names[j]},{v:.17g}\n"
-            )
+    spath = out / "sobol_second_order.csv"
+    pairs = sorted(report.second_order.items(), key=lambda kv: -kv[1])
+    rows = ((names[i], names[j], v) for (i, j), v in pairs)
+    write_csv(spath, ("variable_i", "variable_j", "index"), rows)
     written.append(spath)
 
     top = report.ranked(10)
-    tpath = outdir / "sobol_top.txt"
+    tpath = out / "sobol_top.txt"
     with open(tpath, "w") as fh:
         fh.write(
             f"ten largest total indices (scale: {pce.response_scale}); "
@@ -497,7 +486,7 @@ def cmd_sobol(cfg, pce_path, grouping_path=None, out: Path | None = None) -> lis
             fh.write(f"{rank:2d}. {name:<16s} total={tot:.4f} first={first:.4f}\n")
         fh.write(
             f"\nimportant: {len(report.important)} / "
-            f"{len(report.variable_names)} variables\n"
+            f"{len(names)} variables\n"
         )
         if report.grouped_sums:
             fh.write("\nsums of first-order indices per group:\n")
@@ -506,19 +495,15 @@ def cmd_sobol(cfg, pce_path, grouping_path=None, out: Path | None = None) -> lis
     written.append(tpath)
 
     for name, _, _ in top:
-        i = report.variable_names.index(name)
+        i = names.index(name)
         marg = pce.random_vector.marginals[i]
         if marg.kind == "uniform":
             grid = np.linspace(marg.a, marg.b, _EFFECT_POINTS)
         else:
             grid = np.linspace(marg.a - 3 * marg.b, marg.a + 3 * marg.b, _EFFECT_POINTS)
         eff = univariate_effect(pce, i, grid)
-        epath = outdir / f"effect_{name.replace(':', '_')}.csv"
-        with open(epath, "w") as fh:
-            fh.write(f"{name},effect\n")
-            np.savetxt(
-                fh, np.column_stack([eff.grid, eff.values]), fmt="%.17g", delimiter=","
-            )
+        epath = out / f"effect_{name.replace(':', '_')}.csv"
+        write_csv(epath, (name, "effect"), zip(eff.grid, eff.values))
         written.append(epath)
 
     for p in written:
@@ -529,8 +514,7 @@ def cmd_sobol(cfg, pce_path, grouping_path=None, out: Path | None = None) -> lis
 # -- study --------------------------------------------------------------------
 
 
-def cmd_study(cfg, design_path, responses_path, out: Path | None = None) -> Path:
-    outdir = out or _outdir(cfg)
+def cmd_study(cfg, design_path, responses_path, out: Path) -> Path:
     rv = cfg["_random_vector"]
     design = _load_design(design_path, rv.names, responses_path)
     scfg = cfg["study"]
@@ -548,14 +532,9 @@ def cmd_study(cfg, design_path, responses_path, out: Path | None = None) -> Path
         scale=fit_cfg["scale"],
     )
     summary = study.summary()
-    path = outdir / "subsample_study.csv"
-    with open(path, "w") as fh:
-        fh.write("variable,median,q25,q75\n")
-        for i, name in enumerate(summary["variable"]):
-            fh.write(
-                f"{name},{summary['median'][i]:.17g},"
-                f"{summary['q25'][i]:.17g},{summary['q75'][i]:.17g}\n"
-            )
+    path = out / "subsample_study.csv"
+    columns = ("variable", "median", "q25", "q75")
+    write_csv(path, columns, zip(*(summary[c] for c in columns)))
     print(f"wrote {path}")
     return path
 
@@ -565,7 +544,6 @@ def cmd_study(cfg, design_path, responses_path, out: Path | None = None) -> Path
 
 def cmd_demo(out: Path) -> None:
     """Nominal run of the bundled cross-section, with field export."""
-    out.mkdir(parents=True, exist_ok=True)
     model = aquifer.default_model()
     params = aquifer.nominal_parameters(model)
     mp = aquifer.ModelParameters.from_vector(model, params)
@@ -602,9 +580,7 @@ def cmd_demo(out: Path) -> None:
         "gradient_convention": "zone gradients rescale boundary heads about fixed segment means",
         "pcesobol_version": __version__,
     }
-    with open(out / "demo_summary.json", "w") as fh:
-        json.dump(summary, fh, indent=1)
-        fh.write("\n")
+    _write_json(out / "demo_summary.json", summary)
     print(f"target-zone mean lifetime expectancy: {mle.response:,.0f} years")
     print(
         "outflow fractions: "
@@ -617,8 +593,7 @@ def cmd_demo(out: Path) -> None:
 # -- full pipeline --------------------------------------------------------------
 
 
-def cmd_full(cfg) -> None:
-    out = _outdir(cfg)
+def cmd_full(cfg, out: Path) -> None:
     written = cmd_sample(cfg, out)
     design_path = written[0]
     responses = cmd_evaluate(cfg, design_path, out)
@@ -626,7 +601,7 @@ def cmd_full(cfg) -> None:
     if len(written) > 1 and cfg["fit"]["use_enrichment"] != "none":
         val_design = written[1]
         val_resp = cmd_evaluate(cfg, val_design, out)
-    pce_path = cmd_fit(cfg, design_path, responses, val_design, val_resp, out)
+    pce_path = cmd_fit(cfg, design_path, responses, val_design, val_resp, out=out)
     cmd_sobol(cfg, pce_path, out=out)
 
 
@@ -683,14 +658,12 @@ def main(argv=None) -> int:
 
 
 def _run(args) -> None:
+    cfg = None if args.command == "demo" else load_config(args.config)
+    out = Path(args.out if cfg is None else args.out or cfg["output_dir"])
+    out.mkdir(parents=True, exist_ok=True)
     if args.command == "demo":
-        cmd_demo(Path(args.out))
-        return
-    cfg = load_config(args.config)
-    out = Path(args.out) if args.out else None
-    if out:
-        out.mkdir(parents=True, exist_ok=True)
-    if args.command == "sample":
+        cmd_demo(out)
+    elif args.command == "sample":
         cmd_sample(cfg, out)
     elif args.command == "evaluate":
         cmd_evaluate(cfg, args.design, out)
@@ -701,14 +674,14 @@ def _run(args) -> None:
             args.responses,
             args.validation_design,
             args.validation_responses,
-            out,
+            out=out,
         )
     elif args.command == "sobol":
-        cmd_sobol(cfg, args.pce, args.grouping, out)
+        cmd_sobol(cfg, args.pce, args.grouping, out=out)
     elif args.command == "study":
         cmd_study(cfg, args.design, args.responses, out)
     elif args.command == "full":
-        cmd_full(cfg)
+        cmd_full(cfg, out)
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy.special import ndtr, ndtri
 
 UNIFORM = "uniform"
 GAUSSIAN = "gaussian"
@@ -92,13 +92,13 @@ class Marginal:
         x = np.asarray(x, dtype=float)
         if self.kind == UNIFORM:
             return np.clip((x - self.a) / (self.b - self.a), 0.0, 1.0)
-        return stats.norm.cdf(x, loc=self.a, scale=self.b)
+        return ndtr((x - self.a) / self.b)
 
     def ppf(self, p):
         p = np.asarray(p, dtype=float)
         if self.kind == UNIFORM:
             return self.a + p * (self.b - self.a)
-        return stats.norm.ppf(p, loc=self.a, scale=self.b)
+        return ndtri(p) * self.b + self.a
 
     def in_support(self, x):
         if self.kind == UNIFORM:

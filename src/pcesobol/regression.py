@@ -30,12 +30,7 @@ from scipy.linalg import solve_triangular
 # not called here: perfbench's trace plan counts calls through this name
 from scipy.linalg import cho_factor  # noqa: F401
 
-from .basis import (
-    MultiIndexSet,
-    _graded_lex_order,
-    enumerate_hyperbolic,
-    eval_basis_matrix,
-)
+from .basis import MultiIndexSet, enumerate_hyperbolic, eval_basis_matrix
 from .probability import Marginal, RandomVector
 from .sampling import ExperimentalDesign
 
@@ -461,9 +456,10 @@ def hybrid_fit(
         raise RuntimeError("every candidate model along the path was degenerate")
 
     cols = [0] + path.order[: path.best_k]
-    rows = candidate.degrees[cols]
-    perm = _graded_lex_order(rows)
-    active = MultiIndexSet(rows[perm], candidate.p, candidate.q)
+    # candidate rows are graded-lex sorted, so sorting the row numbers
+    # puts the active rows in that order too
+    perm = np.argsort(cols)
+    active = MultiIndexSet(candidate.degrees[cols][perm], candidate.p, candidate.q)
     coeffs = np.asarray(path.coeffs)[perm]
 
     return SparsePce(

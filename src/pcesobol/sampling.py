@@ -80,16 +80,12 @@ class ExperimentalDesign:
     #    in a separate single-column file aligned by row index.
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write(",".join(self.names) + "\n")
-            np.savetxt(fh, self.points, fmt="%.17g", delimiter=",")
+        write_csv(path, self.names, self.points)
 
     def responses_to_csv(self, path) -> None:
         if self.responses is None:
             raise ValueError("design has no responses")
-        with open(path, "w", newline="") as fh:
-            fh.write("response\n")
-            np.savetxt(fh, self.responses, fmt="%.17g")
+        write_csv(path, ("response",), self.responses[:, None])
 
     @classmethod
     def from_csv(cls, path, responses_path=None) -> "ExperimentalDesign":
@@ -102,6 +98,20 @@ class ExperimentalDesign:
             points = np.empty((0, len(names)))
         responses = load_responses_csv(responses_path) if responses_path else None
         return cls(names, points, responses)
+
+
+def write_csv(path, header, rows) -> None:
+    """Write a header line, then one comma-separated line per row.
+
+    Numbers are written with 17 significant digits, so they read back
+    exactly; strings are written as they are.
+    """
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(
+                ",".join(v if isinstance(v, str) else f"{v:.17g}" for v in row) + "\n"
+            )
 
 
 def load_responses_csv(path) -> np.ndarray:

@@ -609,8 +609,12 @@ class TestFullPipeline:
             design={"n": 12, "seed": 100},
             fit={"q": 0.5, "p_range": [1, 1]},
         )
-        assert main(["full", "--config", str(cfg)]) == 0
+        # --out overrides output_dir for the whole pipeline
+        given = tmp_path / "cli-out"
+        assert main(["full", "--config", str(cfg), "--out", str(given)]) == 0
         out = tmp_path / "out"
+        assert not out.exists()
+        assert main(["full", "--config", str(cfg)]) == 0
         for name in (
             "design.csv",
             "design.responses.csv",
@@ -620,6 +624,9 @@ class TestFullPipeline:
             "sobol_top.txt",
         ):
             assert (out / name).exists(), name
+        assert sorted(p.name for p in given.iterdir()) == sorted(
+            p.name for p in out.iterdir()
+        )
         doc = json.loads((out / "sobol_report.json").read_text())
         assert len(doc["variables"]) == 78
         assert doc["grouped_sums"]  # auto grouping by property prefix

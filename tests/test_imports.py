@@ -1,13 +1,18 @@
-"""No dead names in the package.
+"""No dead names in the package, and no private names shared across it.
 
 Every module-level import is used by its module, and every module-level
 private function, class or constant is referenced somewhere in the
 package.  No linter ships with the project, so these stand in for the
 unused-import and dead-code rules.  Package ``__init__`` files are skipped
-by the import rule: their imports are the public re-exports.
+by the import rule: their imports are the public re-exports.  A private
+name stays in its module: no module imports another's ``_name``.
+Importing the package loads no more of scipy than it calls.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -82,3 +87,31 @@ def test_private_definitions_are_referenced():
         if name not in used
     ]
     assert not dead, f"private names defined but never referenced: {dead}"
+
+
+def test_no_private_names_imported():
+    shared = [
+        f"{path.relative_to(PACKAGE)}: {alias.name}"
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.ImportFrom) and node.level > 0
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.startswith("__")
+    ]
+    assert not shared, f"private names imported from another module: {shared}"
+
+
+def test_import_does_not_load_scipy_stats():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")])
+    )
+    code = (
+        "import sys, pcesobol, pcesobol.cli; "
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == "[]"

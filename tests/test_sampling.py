@@ -1,3 +1,5 @@
+import io
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from pcesobol import (
     load_responses_csv,
     nested_lhs_enrich,
 )
+from pcesobol.sampling import write_csv
 
 
 def rv2():
@@ -116,6 +119,20 @@ class TestDesignIO:
         for k in (1, 2):
             lhs(16, rv, seed=4).to_csv(tmp_path / f"d{k}.csv")
         assert (tmp_path / "d1.csv").read_bytes() == (tmp_path / "d2.csv").read_bytes()
+
+    def test_write_csv_numbers_match_savetxt(self, tmp_path):
+        values = np.array(
+            [0.1, -0.0, 1e-300, 5e-324, np.nan, np.inf, -np.inf, 2**53 + 1]
+        )
+        table = np.column_stack([values, values[::-1]])
+        path = tmp_path / "t.csv"
+        write_csv(path, ("a", "b"), table)
+        expected = io.StringIO()
+        np.savetxt(expected, table, fmt="%.17g", delimiter=",")
+        assert path.read_text() == "a,b\n" + expected.getvalue()
+
+        write_csv(path, ("name", "v"), [("x:1", 0.1), ("y", -0.0)])
+        assert path.read_text() == "name,v\nx:1,0.10000000000000001\ny,-0\n"
 
     def test_empty_responses_file(self, tmp_path):
         path = tmp_path / "r.csv"
