@@ -17,7 +17,10 @@ column-append step.
 Degeneracy handling is explicit: a prefix that loses rank, whose condition
 estimate exceeds 1e12, or whose leverage saturates (some h_i within 1e-10
 of 1, i.e. the fit memorizes point i) is never selected, and it ends the
-path, since every longer prefix contains it.
+path, since every longer prefix contains it.  The path also ends once 100
+picks have passed without a new best corrected LOO error (patience), when
+every residual correlation is below 1e-12, when no step length is left, or
+when the candidates run out; the fit records which.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from .probability import Marginal, RandomVector
 from .sampling import ExperimentalDesign
 
 _CORR_TOL = 1e-12       # residual-correlation floor: below it the path ends
+_PATIENCE = 100         # picks without a new best corrected LOO that end the path
 _COND_LIMIT = 1e12      # condition estimate above which a prefix is skipped
 _LEVERAGE_TOL = 1e-10   # h_i >= 1 - tol means the fit memorizes point i
 
@@ -63,6 +67,10 @@ class SparsePce:
     candidate_size: int
     response_scale: str = ORIGINAL
     err_gen: float | None = None
+    # the pick count of the LAR path that chose the active set, and why it
+    # ended; not saved, since pce.json's provenance sweep lists both
+    picks: int | None = None
+    path_end: str | None = None
 
     def __post_init__(self):
         self.coefficients = np.asarray(self.coefficients, dtype=float).ravel()
@@ -164,15 +172,16 @@ class FitDiagnostics:
     rows: list = field(default_factory=list)
     selected_p: int | None = None
 
-    def add(self, p, candidate_size, active_size, err_loo_corrected, status="ok"):
+    def add(self, p, candidate_size, pce: SparsePce | None = None, status="ok"):
+        """One row for degree ``p``; ``pce`` is None when the fit failed."""
         self.rows.append(
             {
                 "p": int(p),
                 "candidate_size": int(candidate_size),
-                "active_size": None if active_size is None else int(active_size),
-                "err_loo_corrected": None
-                if err_loo_corrected is None
-                else float(err_loo_corrected),
+                "active_size": None if pce is None else len(pce.active_set),
+                "err_loo_corrected": None if pce is None else float(pce.err_loo_corrected),
+                "picks": None if pce is None else pce.picks,
+                "path_end": None if pce is None else pce.path_end,
                 "status": status,
             }
         )
@@ -187,10 +196,11 @@ def lar_path(design_matrix, y):
     This is the path every fit walks: one pass orthogonalizes each pick
     once against ``[1, psi_order...]`` and scores each prefix on the way,
     so the path ends when every residual correlation drops below 1e-12,
-    when no step length is left, or at the first prefix the scan rejects
-    (rank loss, condition estimate above 1e12, saturated leverage or
-    card(A) >= N): no later prefix would ever be scored.  The rejected
-    pick is not in the returned order.
+    when no step length is left, when the candidates run out, 100 picks
+    after the best-scoring prefix so far (patience), or at the first prefix
+    the scan rejects (rank loss, condition estimate above 1e12, saturated
+    leverage or card(A) >= N): no later prefix would ever be scored.  The
+    rejected pick is not in the returned order.
     """
     psi = np.asarray(design_matrix, dtype=float)
     y = np.asarray(y, dtype=float).ravel()
@@ -344,6 +354,11 @@ class _HybridPath:
     err_loo: float
     err_corrected: float
     coeffs: np.ndarray | None   # aligned with [0] + order[:best_k]
+    path_end: str               # why the path ended
+
+    @property
+    def picks(self) -> int:
+        return len(self.order)
 
 
 def _hybrid_path(psi, y) -> _HybridPath:
@@ -355,7 +370,8 @@ def _hybrid_path(psi, y) -> _HybridPath:
     the equiangular direction is Q_1 t with t = R_11^-T D s, and
     1^T (S X_A^T X_A S)^-1 1 = |t|^2.  The centered response and every
     direction v are orthogonal to the constant column, so X^T v is
-    psi^T v / D: one product with the uncentered ``psi`` per step.
+    psi^T v / D: one product with the uncentered ``psi`` per step.  The
+    path ends ``_PATIENCE`` picks after its best prefix.
     """
     n = psi.shape[0]
     # centered 256 columns at a time: sqrt(sum psi^2 - N mean^2) would
@@ -371,6 +387,7 @@ def _hybrid_path(psi, y) -> _HybridPath:
     qr = _ThinQr(y, min(n, int(np.count_nonzero(inactive)) + 1))
     active: list[int] = []  # columns of psi[:, 1:], in inclusion order
     best_k, best = None, (np.inf, np.inf)
+    path_end = "candidates exhausted"
     try:
         best_k, best = 0, qr.append(psi[:, 0])
         c = (psi.T @ qr.resid)[1:] / norms  # resid: the centered response
@@ -379,12 +396,16 @@ def _hybrid_path(psi, y) -> _HybridPath:
             j_new = int(np.argmax(c_in))
             big_c = float(c_in[j_new])
             if big_c < _CORR_TOL:
+                path_end = "correlation floor"
                 break
             scored = qr.append(psi[:, j_new + 1])
             active.append(j_new)
             inactive[j_new] = False
             if scored[1] < best[1]:
                 best_k, best = len(active), scored
+            elif len(active) - best_k >= _PATIENCE:
+                path_end = "patience"
+                break
 
             k = len(active)
             signs = np.sign(c[active])
@@ -399,17 +420,18 @@ def _hybrid_path(psi, y) -> _HybridPath:
             gammas = np.concatenate([g1[inactive], g2[inactive]])
             gammas = gammas[np.isfinite(gammas) & (gammas > _CORR_TOL)]
             if gammas.size == 0:
+                path_end = "no step length" if np.any(inactive) else "candidates exhausted"
                 break
             c -= float(np.min(gammas)) * a  # the LARS update (Efron et al. 2004)
-    except _Degenerate:
-        pass
+    except _Degenerate as exc:
+        path_end = str(exc)
 
     coeffs = None
     if best_k is not None:
         k = best_k + 1
         coeffs = solve_triangular(qr.r[:k, :k], qr.qty[:k], lower=False)
     order = [j + 1 for j in active]
-    return _HybridPath(order, best_k, best[0], best[1], coeffs)
+    return _HybridPath(order, best_k, best[0], best[1], coeffs, path_end)
 
 
 def _checked_responses(responses, design: ExperimentalDesign, scale: str):
@@ -473,6 +495,8 @@ def hybrid_fit(
         sparsity_index=len(active) / len(candidate),
         candidate_size=len(candidate),
         response_scale=scale,
+        picks=path.picks,
+        path_end=path.path_end,
     )
 
 
@@ -506,10 +530,10 @@ def adaptive_fit(
         try:
             pce = hybrid_fit(candidate, design, y, rv, scale)
         except (RuntimeError, np.linalg.LinAlgError) as exc:
-            diag.add(p, len(candidate), None, None, f"failed: {exc}")
+            diag.add(p, len(candidate), status=f"failed: {exc}")
             last_error = exc
         else:
-            diag.add(p, len(candidate), len(pce.active_set), pce.err_loo_corrected)
+            diag.add(p, len(candidate), pce)
             if best is None or pce.err_loo_corrected < best.err_loo_corrected:
                 best, stall = pce, 0
                 continue

@@ -389,6 +389,8 @@ class TestFit:
         doc = json.loads((tmp_path / "out" / "pce.json").read_text())
         assert doc["truncation"]["p"] == 1
         assert len(doc["provenance"]["sweep"]) == 1
+        row = doc["provenance"]["sweep"][0]
+        assert (row["picks"], row["path_end"]) == (3, "candidates exhausted")
         assert doc["provenance"]["config_sha256"]
 
     def test_design_header_must_match_random_vector(self, tmp_path, capsys):

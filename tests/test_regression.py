@@ -1,3 +1,6 @@
+import hashlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -15,8 +18,10 @@ from pcesobol import (
     hybrid_fit,
     lar_path,
     lhs,
+    load_responses_csv,
     loo_error,
 )
+from pcesobol import aquifer
 from pcesobol.regression import _hybrid_path
 from lar_reference import best_prefix, gram_lar_path
 
@@ -157,6 +162,109 @@ class TestAgainstGramLar:
             ref = np.array([fitted[tuple(candidate.degrees[c])] for c in ref_cols])
             scale = np.abs(ref_beta).max()
             assert np.allclose(ref, ref_beta, rtol=1e-8, atol=1e-8 * scale)
+
+
+class TestPathEnd:
+    def test_patience_keeps_the_best_prefix(self):
+        # three signal columns among 400 of noise: the best prefix comes
+        # early, and the path ends 100 picks after it instead of at N - 1
+        rng = np.random.default_rng(11)
+        x = rng.normal(size=(300, 403))
+        y = x[:, :3] @ np.array([2.0, -1.5, 1.0]) + 0.5 * rng.normal(size=300)
+        psi = np.column_stack([np.ones(300), x])
+        path = _hybrid_path(psi, y)
+        ref_order = gram_lar_path(psi, y)
+        assert len(ref_order) == 299
+        assert path.order == ref_order[: len(path.order)]
+        ref_k, ref_beta = best_prefix(psi, y, ref_order)
+        assert path.best_k == ref_k
+        scale = np.abs(ref_beta).max()
+        assert np.allclose(path.coeffs, ref_beta, rtol=1e-9, atol=1e-9 * scale)
+        assert len(path.order) == path.best_k + 100
+        assert path.path_end == "patience"
+
+    def test_exact_linear_data_ends_on_correlation_floor(self):
+        rng = np.random.default_rng(12)
+        x = rng.normal(size=(40, 6))
+        psi = np.column_stack([np.ones(40), x])
+        path = _hybrid_path(psi, 0.5 + 2.0 * x[:, 1] - x[:, 4])
+        assert sorted(path.order) == [2, 5]
+        assert path.path_end == "correlation floor"
+        assert path.err_corrected == 0.0
+
+    def test_sweep_rows_record_how_each_path_ended(self):
+        rv = unit_rv(2)
+        design = lhs(40, rv, seed=7)
+        y = np.sin(design.points[:, 0]) + 0.1 * design.points[:, 1] ** 3
+        pce, diag = adaptive_fit(design, y, rv, range(1, 5), q=1.0)
+        for row in diag.rows:
+            assert row["status"] == "ok"
+            assert row["picks"] >= row["active_size"] - 1
+            assert row["path_end"]
+        # p = 1: both terms enter and nothing is left to pick
+        assert diag.rows[0]["picks"] == 2
+        assert diag.rows[0]["path_end"] == "candidates exhausted"
+        row = diag.rows[pce.degree - 1]
+        assert (row["picks"], row["path_end"]) == (pce.picks, pce.path_end)
+
+    def test_failed_degree_keeps_its_status(self, monkeypatch):
+        from pcesobol import regression
+
+        fit = regression.hybrid_fit
+
+        def refuse_p2(candidate, *args, **kwargs):
+            if candidate.p == 2:
+                raise RuntimeError("every candidate model along the path was degenerate")
+            return fit(candidate, *args, **kwargs)
+
+        monkeypatch.setattr(regression, "hybrid_fit", refuse_p2)
+        rv = unit_rv(2)
+        design = lhs(30, rv, seed=6)
+        _, diag = adaptive_fit(design, design.points[:, 0] ** 3, rv, [1, 2, 3], q=1.0)
+        assert diag.rows[1] == {
+            "p": 2, "candidate_size": 6, "active_size": None,
+            "err_loo_corrected": None, "picks": None, "path_end": None,
+            "status": "failed: every candidate model along the path was degenerate",
+        }
+        assert diag.rows[0]["picks"] == 2 and diag.rows[2]["path_end"]
+
+
+SCREENING_RESPONSES = (
+    Path(__file__).resolve().parent.parent / "perfbench" / "data" / "screening_responses.csv"
+)
+
+
+def test_screening_sweep_models_pinned():
+    # the 12 screening fits (both scales, p 1-6, q 0.5) on the stored
+    # responses, pinned to the models chosen when every path ran to its end
+    rv = aquifer.random_vector(aquifer.default_model())
+    design = lhs(500, rv, seed=42)
+    y = load_responses_csv(SCREENING_RESPONSES)
+    fits = [
+        hybrid_fit(enumerate_hyperbolic(rv.m, p, 0.5), design, y, rv, scale)
+        for scale in ("original", "log")
+        for p in range(1, 7)
+    ]
+    assert [len(f.active_set) for f in fits] == [
+        16, 20, 26, 105, 105, 125,
+        20, 21, 32, 123, 128, 89,
+    ]
+    blob = np.concatenate([f.active_set.degrees for f in fits]).tobytes()
+    assert hashlib.sha256(blob).hexdigest() == (
+        "0d35e2f452b0facf4609f3ae7c25437f5a95c90b75815f45b4fbe52b44b206fa"
+    )
+    loo = [f.err_loo_corrected for f in fits]
+    assert np.allclose(loo, [
+        0.4102315739821108, 0.35113144182043926, 0.34466002946766955,
+        0.22808357358710504, 0.21871628453738767, 0.19087231577737726,
+        0.27141085249889196, 0.23653984845673307, 0.21874344710117552,
+        0.1483694078763311, 0.1505309717942028, 0.13402869801763556,
+    ], rtol=1e-12, atol=0.0)
+    # p 1 runs out of candidates; every longer path stops on patience
+    assert [f.picks for f in fits] == [78, 119, 125, 204, 204, 224,
+                                       78, 120, 131, 222, 227, 188]
+    assert fits[0].path_end == fits[6].path_end == "candidates exhausted"
+    assert {f.path_end for f in fits[1:6] + fits[7:]} == {"patience"}
 
 
 class TestLooError:
