@@ -113,6 +113,35 @@ class MultiIndexSet:
     def __len__(self) -> int:
         return self.degrees.shape[0]
 
+    def factors(self):
+        """Row numbers of each row's two factors, or None if one is missing.
+
+        A row's *last* factor keeps only its last nonzero degree, and its
+        *parent* is the rest, so parent + last == row.  A row over one
+        input has the zero row as parent; the zero row is its own parent
+        and last.  Since ``eval_basis_matrix`` multiplies in coordinate
+        order, every column equals its parent column times its last column
+        bit for bit.  Returns ``(parent, last)`` integer arrays aligned with
+        the rows, or None when some factor is not a row of the set, as
+        happens in a set that is not downward closed.
+        """
+        deg = self.degrees
+        n, m = deg.shape
+        rows = np.arange(n)
+        j_last = m - 1 - np.argmax(deg[:, ::-1] != 0, axis=1)
+        last = np.zeros_like(deg)
+        last[rows, j_last] = deg[rows, j_last]
+        # each row's bytes as one opaque key; sorted, they are searchable
+        keys = _row_keys(deg)
+        order = np.argsort(keys)
+        sorted_keys = keys[order]
+        wanted = _row_keys(np.concatenate([deg - last, last]))
+        pos = np.minimum(np.searchsorted(sorted_keys, wanted), n - 1)
+        if not np.all(sorted_keys[pos] == wanted):
+            return None
+        found = order[pos]
+        return found[:n], found[n:]
+
     def to_sparse_pairs(self) -> list:
         """Rows as lists of (coordinate, degree) pairs, zero entries elided."""
         out = []
@@ -120,6 +149,11 @@ class MultiIndexSet:
             nz = np.nonzero(row)[0]
             out.append([(int(j), int(row[j])) for j in nz])
         return out
+
+
+def _row_keys(degrees: np.ndarray) -> np.ndarray:
+    rows = np.ascontiguousarray(degrees)
+    return rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1]))).ravel()
 
 
 def _graded_lex_order(degrees: np.ndarray) -> np.ndarray:

@@ -11,8 +11,23 @@ LAR pick is orthogonalized once by a column-append step that also checks
 and scores the prefix it completes, and the QR yields the next equiangular
 direction, so no Gram matrix is formed or factored.  The basis matrix is
 never centered: the correlations follow the LARS update, with one product
-with it per step.  ``loo_error`` and ``corrected_loo`` run the same
-column-append step.
+``psi^T v`` per step.  That product takes one of two forms:
+
+* *factored*: every column over two or more inputs is its parent column
+  (the term without its last nonzero degree) times its last column (that
+  degree alone), bit for bit, so ``psi^T v`` over those columns is read off
+  one small product ``(psi_parents * v)^T psi_lasts``; the other columns
+  take a plain product.
+* *dense*: the plain ``psi^T v``.
+
+A path runs factored when its candidate set holds every parent and last
+(``MultiIndexSet.factors``) and has at least 8 times as many multi-input
+columns as distinct parent and last columns; otherwise, and always for
+``lar_path``, which sees no candidate set, it runs dense.  The rule reads
+the candidate set alone and is not a knob.  The QR, and so the active set,
+coefficients and LOO errors, use the columns of ``psi`` in both forms; only
+roundoff in the correlations differs.  ``loo_error`` and ``corrected_loo``
+run the same column-append step.
 
 Degeneracy handling is explicit: a prefix that loses rank, whose condition
 estimate exceeds 1e12, or whose leverage saturates (some h_i within 1e-10
@@ -38,6 +53,7 @@ from .probability import Marginal, RandomVector
 from .sampling import ExperimentalDesign
 
 _CORR_TOL = 1e-12       # residual-correlation floor: below it the path ends
+_FACTOR_RATIO = 8       # fewest multi-input columns per factor column run factored
 _PATIENCE = 100         # picks without a new best corrected LOO that end the path
 _COND_LIMIT = 1e12      # condition estimate above which a prefix is skipped
 _LEVERAGE_TOL = 1e-10   # h_i >= 1 - tol means the fit memorizes point i
@@ -67,10 +83,12 @@ class SparsePce:
     candidate_size: int
     response_scale: str = ORIGINAL
     err_gen: float | None = None
-    # the pick count of the LAR path that chose the active set, and why it
-    # ended; not saved, since pce.json's provenance sweep lists both
+    # the pick count of the LAR path that chose the active set, why it
+    # ended and which product it ran; not saved, since pce.json's
+    # provenance sweep lists all three
     picks: int | None = None
     path_end: str | None = None
+    product: str | None = None
 
     def __post_init__(self):
         self.coefficients = np.asarray(self.coefficients, dtype=float).ravel()
@@ -182,6 +200,7 @@ class FitDiagnostics:
                 "err_loo_corrected": None if pce is None else float(pce.err_loo_corrected),
                 "picks": None if pce is None else pce.picks,
                 "path_end": None if pce is None else pce.path_end,
+                "product": None if pce is None else pce.product,
                 "status": status,
             }
         )
@@ -275,6 +294,7 @@ class _ThinQr:
     def __init__(self, y, max_cols):
         n = y.shape[0]
         self.y = y
+        self.zero_floor = _zero_floor(y)
         self.var = float(np.var(y, ddof=1)) if n > 1 else 0.0
         self.qt = np.empty((max_cols, n))  # row k is orthonormal column k
         self.r = np.zeros((max_cols, max_cols))
@@ -331,7 +351,7 @@ class _ThinQr:
     def loo(self, resid) -> float:
         """Relative LOO error of residuals ``resid`` under these leverages."""
         err_abs = float(np.mean((resid / (1.0 - self.h)) ** 2))
-        if err_abs <= _zero_floor(self.y):
+        if err_abs <= self.zero_floor:
             return 0.0
         if self.var <= 0.0:
             raise _Degenerate("responses have zero variance but nonzero error")
@@ -355,13 +375,43 @@ class _HybridPath:
     err_corrected: float
     coeffs: np.ndarray | None   # aligned with [0] + order[:best_k]
     path_end: str               # why the path ended
+    product: str                # "factored" or "dense": how psi^T v ran
 
     @property
     def picks(self) -> int:
         return len(self.order)
 
 
-def _hybrid_path(psi, y) -> _HybridPath:
+def _transpose_product(psi, factors):
+    """``(v -> psi^T v, form)``, with form ``"factored"`` or ``"dense"``.
+
+    ``factors`` is ``MultiIndexSet.factors()`` of the set whose basis
+    matrix is ``psi``, or None.  The factored form keeps copies of the
+    single-input, parent and last columns only (see the module docstring).
+    """
+    if factors is not None:
+        parent, last = factors
+        multi = np.flatnonzero(parent > 0)  # row 0 is the zero row
+        parents, p_of = np.unique(parent[multi], return_inverse=True)
+        lasts, l_of = np.unique(last[multi], return_inverse=True)
+        if multi.size and multi.size >= _FACTOR_RATIO * (len(parents) + len(lasts)):
+            single = np.flatnonzero(parent == 0)
+            psi_single = np.ascontiguousarray(psi[:, single])
+            psi_parents = np.ascontiguousarray(psi[:, parents].T)
+            psi_lasts = np.ascontiguousarray(psi[:, lasts])
+            flat = p_of * len(lasts) + l_of
+
+            def factored(v):
+                out = np.empty(psi.shape[1])
+                out[single] = v @ psi_single
+                out[multi] = ((psi_parents * v) @ psi_lasts).ravel()[flat]
+                return out
+
+            return factored, "factored"
+    return (lambda v: psi.T @ v), "dense"
+
+
+def _hybrid_path(psi, y, factors=None) -> _HybridPath:
     """LAR over the non-constant columns of ``psi``, every prefix scored.
 
     Each pick goes through ``_ThinQr.append``, whose first refusal ends the
@@ -370,8 +420,9 @@ def _hybrid_path(psi, y) -> _HybridPath:
     the equiangular direction is Q_1 t with t = R_11^-T D s, and
     1^T (S X_A^T X_A S)^-1 1 = |t|^2.  The centered response and every
     direction v are orthogonal to the constant column, so X^T v is
-    psi^T v / D: one product with the uncentered ``psi`` per step.  The
-    path ends ``_PATIENCE`` picks after its best prefix.
+    psi^T v / D: one product with the uncentered ``psi`` per step, in the
+    form ``_transpose_product`` picks from ``factors``.  The path ends
+    ``_PATIENCE`` picks after its best prefix.
     """
     n = psi.shape[0]
     # centered 256 columns at a time: sqrt(sum psi^2 - N mean^2) would
@@ -383,6 +434,7 @@ def _hybrid_path(psi, y) -> _HybridPath:
     # columns that are constant up to roundoff never compete
     inactive = norms > 1e-13 * max(1.0, float(np.max(norms, initial=0.0)))
     norms[~inactive] = 1.0
+    psi_t, product = _transpose_product(psi, factors)
 
     qr = _ThinQr(y, min(n, int(np.count_nonzero(inactive)) + 1))
     active: list[int] = []  # columns of psi[:, 1:], in inclusion order
@@ -390,7 +442,7 @@ def _hybrid_path(psi, y) -> _HybridPath:
     path_end = "candidates exhausted"
     try:
         best_k, best = 0, qr.append(psi[:, 0])
-        c = (psi.T @ qr.resid)[1:] / norms  # resid: the centered response
+        c = psi_t(qr.resid)[1:] / norms  # resid: the centered response
         while np.any(inactive):
             c_in = np.where(inactive, np.abs(c), -np.inf)
             j_new = int(np.argmax(c_in))
@@ -413,7 +465,7 @@ def _hybrid_path(psi, y) -> _HybridPath:
             t = qr.r_inv[1 : k + 1, 1 : k + 1].T @ (norms[active] * signs)
             a_norm = 1.0 / float(np.linalg.norm(t))
             u_dir = (t * a_norm) @ qr.qt[1 : k + 1]
-            a = (psi.T @ u_dir)[1:] / norms
+            a = psi_t(u_dir)[1:] / norms
             with np.errstate(divide="ignore", invalid="ignore"):
                 g1 = (big_c - c) / (a_norm - a)
                 g2 = (big_c + c) / (a_norm + a)
@@ -431,7 +483,7 @@ def _hybrid_path(psi, y) -> _HybridPath:
         k = best_k + 1
         coeffs = solve_triangular(qr.r[:k, :k], qr.qty[:k], lower=False)
     order = [j + 1 for j in active]
-    return _HybridPath(order, best_k, best[0], best[1], coeffs, path_end)
+    return _HybridPath(order, best_k, best[0], best[1], coeffs, path_end, product)
 
 
 def _checked_responses(responses, design: ExperimentalDesign, scale: str):
@@ -473,7 +525,7 @@ def hybrid_fit(
 
     u = rv.to_standard(design.points)
     psi = eval_basis_matrix(candidate, u, rv.families)
-    path = _hybrid_path(psi, y)
+    path = _hybrid_path(psi, y, candidate.factors())
     if path.best_k is None:
         raise RuntimeError("every candidate model along the path was degenerate")
 
@@ -497,6 +549,7 @@ def hybrid_fit(
         response_scale=scale,
         picks=path.picks,
         path_end=path.path_end,
+        product=path.product,
     )
 
 

@@ -217,3 +217,46 @@ class TestBasisRows:
             eval_basis_matrix(mset, np.zeros(2), ["legendre"] * 3)
         with pytest.raises(ValueError):
             eval_basis_matrix(mset, np.zeros((4, 3)), ["legendre"] * 2)
+
+
+class TestFactors:
+    @pytest.mark.parametrize(
+        "families, p, q",
+        [
+            (["legendre"] * 4, 5, 1.0),
+            (["hermite"] * 4, 5, 1.0),
+            (["legendre", "hermite", "legendre", "hermite", "legendre"], 5, 0.75),
+            (["hermite"] * 5, 6, 0.7),
+        ],
+    )
+    def test_every_column_is_its_parent_times_its_last(self, families, p, q):
+        rng = np.random.default_rng(21)
+        mset = enumerate_hyperbolic(len(families), p, q)
+        assert np.max(np.count_nonzero(mset.degrees, axis=1)) >= 3
+        parent, last = mset.factors()
+        deg = mset.degrees
+        assert np.array_equal(deg[parent] + deg[last], deg)
+        # the last factor is the row's last nonzero degree alone
+        assert np.all(np.count_nonzero(deg[last], axis=1) <= 1)
+        j_last = np.argmax(deg[last], axis=1)
+        assert all(not deg[parent][k, j_last[k]:].any() for k in range(len(deg)))
+        u = np.column_stack([
+            rng.uniform(-1, 1, 30) if f == "legendre" else rng.normal(size=30)
+            for f in families
+        ])
+        psi = eval_basis_matrix(mset, u, families)
+        assert np.array_equal(psi, psi[:, parent] * psi[:, last])
+
+    def test_zero_and_one_input_rows(self):
+        parent, last = enumerate_hyperbolic(3, 2, 1.0).factors()
+        # rows: 0, (0,0,1), (0,1,0), (1,0,0), (0,0,2), (0,1,1), ...
+        assert (parent[0], last[0]) == (0, 0)
+        assert parent[1:5].tolist() == [0, 0, 0, 0]
+        assert last[1:5].tolist() == [1, 2, 3, 4]
+        assert (parent[5], last[5]) == (2, 1)
+
+    def test_set_without_some_factor_has_none(self):
+        # (1, 1) without its parent (1, 0)
+        assert MultiIndexSet(np.array([[0, 0], [0, 1], [1, 1]]), 2, 1.0).factors() is None
+        # (1, 1) without its last (0, 1)
+        assert MultiIndexSet(np.array([[0, 0], [1, 0], [1, 1]]), 2, 1.0).factors() is None

@@ -22,7 +22,7 @@ from pcesobol import (
     loo_error,
 )
 from pcesobol import aquifer
-from pcesobol.regression import _hybrid_path
+from pcesobol.regression import _hybrid_path, _transpose_product
 from lar_reference import best_prefix, gram_lar_path
 
 
@@ -206,6 +206,7 @@ class TestPathEnd:
         assert diag.rows[0]["path_end"] == "candidates exhausted"
         row = diag.rows[pce.degree - 1]
         assert (row["picks"], row["path_end"]) == (pce.picks, pce.path_end)
+        assert {row["product"] for row in diag.rows} == {"dense"} == {pce.product}
 
     def test_failed_degree_keeps_its_status(self, monkeypatch):
         from pcesobol import regression
@@ -224,7 +225,7 @@ class TestPathEnd:
         assert diag.rows[1] == {
             "p": 2, "candidate_size": 6, "active_size": None,
             "err_loo_corrected": None, "picks": None, "path_end": None,
-            "status": "failed: every candidate model along the path was degenerate",
+            "product": None, "status": "failed: every candidate model along the path was degenerate",
         }
         assert diag.rows[0]["picks"] == 2 and diag.rows[2]["path_end"]
 
@@ -265,6 +266,50 @@ def test_screening_sweep_models_pinned():
                                        78, 120, 131, 222, 227, 188]
     assert fits[0].path_end == fits[6].path_end == "candidates exhausted"
     assert {f.path_end for f in fits[1:6] + fits[7:]} == {"patience"}
+    # p <= 3 has no multi-input terms; p 4-6 run the factored product
+    assert [f.product for f in fits] == 2 * (3 * ["dense"] + 3 * ["factored"])
+
+
+class TestFactoredProduct:
+    def test_matches_the_dense_product(self):
+        rng = np.random.default_rng(31)
+        mset = enumerate_hyperbolic(78, 6, 0.5)
+        psi = eval_basis_matrix(mset, rng.uniform(-1, 1, size=(60, 78)), ["legendre"] * 78)
+        product, form = _transpose_product(psi, mset.factors())
+        assert form == "factored"
+        for v in (rng.normal(size=60), psi[:, 5] - psi[:, 5].mean()):
+            bound = np.abs(psi).T @ np.abs(v)
+            assert np.all(np.abs(product(v) - psi.T @ v) <= 1e-13 * bound)
+
+    def test_chosen_from_the_candidate_set(self):
+        psi = np.ones((5, 1))
+        assert _transpose_product(psi, None)[1] == "dense"
+        # screening at p <= 3: no multi-input columns
+        mset = enumerate_hyperbolic(78, 3, 0.5)
+        assert _transpose_product(np.ones((5, len(mset))), mset.factors())[1] == "dense"
+        # Ishigami at p 12: 418 pair and triple columns from 99 factors
+        mset = enumerate_hyperbolic(3, 12, 1.0)
+        assert _transpose_product(np.ones((5, len(mset))), mset.factors())[1] == "dense"
+        # 780 pair columns from 78 factors
+        mset = enumerate_hyperbolic(40, 4, 0.5)
+        assert _transpose_product(np.ones((5, len(mset))), mset.factors())[1] == "factored"
+
+    def test_path_is_the_dense_path(self):
+        rng = np.random.default_rng(32)
+        rv = unit_rv(40)
+        mset = enumerate_hyperbolic(40, 4, 0.5)
+        design = lhs(200, rv, seed=33)
+        psi = eval_basis_matrix(mset, rv.to_standard(design.points), rv.families)
+        truth = rng.choice(len(mset), size=8, replace=False)
+        y = psi[:, truth] @ rng.normal(size=8) + 0.1 * rng.normal(size=200)
+        dense = _hybrid_path(psi, y)
+        factored = _hybrid_path(psi, y, mset.factors())
+        assert (dense.product, factored.product) == ("dense", "factored")
+        assert factored.order == dense.order
+        assert factored.best_k == dense.best_k
+        assert factored.coeffs.tobytes() == dense.coeffs.tobytes()
+        assert (factored.err_corrected, factored.path_end) == (dense.err_corrected, dense.path_end)
+        assert hybrid_fit(mset, design, y, rv).product == "factored"
 
 
 class TestLooError:
