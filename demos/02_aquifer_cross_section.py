@@ -9,8 +9,6 @@ Run:  python demos/02_aquifer_cross_section.py [output.csv]
 
 import sys
 
-import numpy as np
-
 from pcesobol import aquifer as aq
 
 
@@ -42,12 +40,7 @@ def main():
           f"to {mle.e_years[zsel].max():,.0f} years")
     print(f"lifetime over the whole domain: up to {mle.e_years.max():,.0f} years")
 
-    xx, zz = np.meshgrid(model.x_centers(), model.z_centers())
-    with open(out_path, "w") as fh:
-        fh.write("x,z,head,mle_years\n")
-        np.savetxt(fh, np.column_stack(
-            [xx.ravel(), zz.ravel(), flow.head.ravel(), mle.e_years.ravel()]),
-            fmt="%.10g", delimiter=",")
+    aq.write_fields(out_path, model, flow, mle)
     print(f"\nwrote {out_path} (x, z, head, lifetime)")
 
 

@@ -16,6 +16,7 @@ from .basis import (
     eval_basis_matrix,
     eval_orthonormal_all,
 )
+from .evaluation import evaluate_rows
 from .regression import (
     FitDiagnostics,
     SparsePce,
@@ -63,6 +64,7 @@ __all__ = [
     "enumerate_hyperbolic",
     "eval_basis_matrix",
     "eval_orthonormal_all",
+    "evaluate_rows",
     "generalization_error",
     "grouped_sums",
     "hybrid_fit",

@@ -27,6 +27,7 @@ from .solver import (
     outflow_budget,
     solve_flow,
     solve_mle,
+    write_fields,
 )
 
 __all__ = [
@@ -48,4 +49,5 @@ __all__ = [
     "solve_flow",
     "solve_mle",
     "validate_parameters",
+    "write_fields",
 ]

@@ -513,3 +513,12 @@ def evaluate(params, model: CrossSectionModel | None = None) -> float:
     flow = solve_flow(model, mp)
     mle = solve_mle(model, flow, mp)
     return mle.response
+
+
+def write_fields(path, model: CrossSectionModel, flow: FlowField, mle: MleField):
+    """Write the fields to CSV, one ``x,z,head,mle_years`` row per cell."""
+    xx, zz = np.meshgrid(model.x_centers(), model.z_centers())
+    columns = [xx.ravel(), zz.ravel(), flow.head.ravel(), mle.e_years.ravel()]
+    with open(path, "w") as fh:
+        fh.write("x,z,head,mle_years\n")
+        np.savetxt(fh, np.column_stack(columns), fmt="%.10g", delimiter=",")

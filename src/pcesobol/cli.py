@@ -19,8 +19,6 @@ import json
 import shlex
 import subprocess
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
 from functools import partial
 from pathlib import Path
 
@@ -28,6 +26,7 @@ import numpy as np
 import yaml
 
 from . import __version__
+from .evaluation import evaluate_rows
 from .probability import Marginal, RandomVector
 from .sampling import ExperimentalDesign, lhs, nested_lhs_enrich, write_csv
 from .regression import SparsePce, adaptive_fit, generalization_error
@@ -229,19 +228,11 @@ def cmd_sample(cfg, out: Path) -> list:
 # -- evaluate -----------------------------------------------------------------
 
 
-def _demo_row(job):
-    index, params = job
-    try:
-        return index, float(aquifer.evaluate(params)), ""
-    except Exception as exc:  # recorded per-row, run continues
-        return index, float("nan"), str(exc)
-
-
 def _external_row(command, exchange_dir: Path, names, job):
     """Run the external command on one row through its exchange files.
 
     The files are deleted once the value is read; a failed row keeps them
-    and its error names them for inspection.
+    and raises an error that names them for inspection.
     """
     index, params = job
     inp = exchange_dir / f"row_{index:06d}.in.csv"
@@ -260,10 +251,9 @@ def _external_row(command, exchange_dir: Path, names, job):
     if not err and np.isfinite(value):
         inp.unlink()
         outp.unlink()
-        return index, value, ""
+        return value
     kept = ", ".join(str(f) for f in (inp, outp) if f.exists())
-    err = err or "non-finite response"
-    return index, float("nan"), f"{err}; exchange files kept: {kept}"
+    raise RuntimeError(f"{err or 'non-finite response'}; exchange files kept: {kept}")
 
 
 def journal_header(design: ExperimentalDesign, model_cfg: dict) -> str:
@@ -320,8 +310,8 @@ def cmd_evaluate(cfg, design_path, out: Path) -> Path:
     header is not the aquifer's parameter names, which it reads by
     position.
     Failures are recorded per row (NaN in the final column) and reported
-    at the end.  Rows of either model kind go to ``model.workers``
-    processes one at a time, so no worker waits on another's batch.
+    at the end.  Rows of either model kind run through ``evaluate_rows``
+    on ``model.workers`` processes.
     """
     model = cfg["model"]
     if model["kind"] == "demo":
@@ -333,20 +323,20 @@ def cmd_evaluate(cfg, design_path, out: Path) -> Path:
     final = out / (Path(design_path).stem + ".responses.csv")
 
     done = _read_journal(journal, journal_header(design, model))
-    jobs = [(i, design.points[i]) for i in range(design.n) if i not in done]
+    todo = [i for i in range(design.n) if i not in done]
+    points = design.points[todo]
     if model["kind"] == "demo":
-        row = _demo_row
+        row = aquifer.evaluate
     else:
         exchange = out / "exchange"
         exchange.mkdir(exist_ok=True)
         row = partial(_external_row, model["command"], exchange, design.names)
+        points = list(zip(todo, points))  # the exchange files carry the index
 
     failures = 0
-    parallel = model["workers"] > 1 and len(jobs) > 1
-    pool = ProcessPoolExecutor(max_workers=model["workers"]) if parallel else None
-    with open(journal, "a") as jfh, pool or nullcontext():
-        results = pool.map(row, jobs, chunksize=1) if pool else map(row, jobs)
-        for index, value, err in results:
+    with open(journal, "a") as jfh:
+        for k, value, err in evaluate_rows(row, points, model["workers"]):
+            index = todo[k]
             if err:
                 failures += 1
                 print(f"row {index}: FAILED ({err})", file=sys.stderr)
@@ -552,19 +542,7 @@ def cmd_demo(out: Path) -> None:
     mle = aquifer.solve_mle(model, flow, mp)
 
     fields = out / "fields.csv"
-    x = model.x_centers()
-    z = model.z_centers()
-    xx, zz = np.meshgrid(x, z)
-    with open(fields, "w") as fh:
-        fh.write("x,z,head,mle_years\n")
-        np.savetxt(
-            fh,
-            np.column_stack(
-                [xx.ravel(), zz.ravel(), flow.head.ravel(), mle.e_years.ravel()]
-            ),
-            fmt="%.10g",
-            delimiter=",",
-        )
+    aquifer.write_fields(fields, model, flow, mle)
     summary = {
         "target_zone_mle_years": mle.response,
         "outflow_fractions": budget.fractions,

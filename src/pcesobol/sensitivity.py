@@ -29,9 +29,7 @@ def moments(pce: SparsePce):
     The mean is the zero-index coefficient; the variance is the sum of the
     remaining squared coefficients.  Both refer to the fit scale.
     """
-    mean = float(pce.coefficients[0])
-    var = float(np.sum(pce.coefficients[1:] ** 2))
-    return mean, float(np.sqrt(var))
+    return float(pce.coefficients[0]), float(np.sqrt(total_variance(pce)))
 
 
 def total_variance(pce: SparsePce) -> float:
@@ -187,13 +185,12 @@ def sobol_report(
     grouping: dict | None = None,
 ) -> SobolReport:
     """Assemble the complete report from a fitted expansion."""
-    mean, sd = moments(pce)
     first, tot, second = _indices(pce)
     report = SobolReport(
         variable_names=tuple(pce.random_vector.names),
         response_scale=pce.response_scale,
-        mean=mean,
-        total_variance=sd**2,
+        mean=moments(pce)[0],
+        total_variance=total_variance(pce),
         first_order=first,
         total=tot,
         second_order=second,

@@ -6,6 +6,7 @@ criteria (9 and 10) take a few minutes combined on one core.
 """
 
 import math
+import os
 import time
 from fractions import Fraction
 
@@ -239,7 +240,11 @@ def test_criterion_9_end_to_end_demo_screening():
     model = aq.default_model()
     rv = aq.random_vector(model)
     design = ps.lhs(500, rv, seed=42)
-    y = np.array([aq.evaluate(row, model) for row in design.points])
+    workers = len(os.sched_getaffinity(0))
+    rows = list(ps.evaluate_rows(aq.evaluate, design.points, workers))
+    failed = [(i, err) for i, _, err in rows if err]
+    assert not failed, f"criterion 9: model rows failed: {failed}"
+    y = np.array([value for _, value, _ in rows])
     pce, _ = ps.adaptive_fit(design, y, rv, range(1, 7), q=0.5)
     grouping = {name: name.split(":")[0] for name in rv.names}
     rep = ps.sobol_report(pce, threshold=0.01, grouping=grouping)

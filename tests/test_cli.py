@@ -292,16 +292,16 @@ class TestEvaluate:
             assert str(exchange / f"row_{i:06d}.in.csv") in err
 
     def test_external_rows_run_on_workers(self, tmp_path, monkeypatch):
-        from pcesobol import cli
+        from pcesobol import evaluation
 
         pools = []
 
-        class RecordingPool(cli.ProcessPoolExecutor):
+        class RecordingPool(evaluation.ProcessPoolExecutor):
             def __init__(self, max_workers=None, **kwargs):
                 pools.append(max_workers)
                 super().__init__(max_workers=max_workers, **kwargs)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(evaluation, "ProcessPoolExecutor", RecordingPool)
         # the response is the sum of the row's parameters
         command = (
             f"{sys.executable} -c \"import sys;"

@@ -18,6 +18,7 @@ from pcesobol import (
     sobol_report,
     sobol_second,
     sobol_total,
+    total_variance,
     univariate_effect,
 )
 from conftest import ishigami, ishigami_analytic
@@ -200,6 +201,16 @@ class TestReportAndScreening:
         ranked = sobol_report(two_var_pce).ranked()
         assert [name for name, _, _ in ranked] == ["x1", "x2"]
         assert ranked[0][1] >= ranked[1][1]
+
+    @pytest.mark.parametrize("seed", [3, 5, 8])
+    def test_report_variance_is_total_variance(self, ishigami_rv, seed):
+        # designs on which squaring the standard deviation of ``moments``
+        # does not give back the sum of squares in the last bit
+        design = lhs(200, ishigami_rv, seed=seed)
+        y = ishigami(design.points)
+        pce, _ = adaptive_fit(design, y, ishigami_rv, range(1, 8), q=1.0)
+        assert sobol_report(pce).total_variance == total_variance(pce)
+        assert moments(pce)[1] == np.sqrt(total_variance(pce))
 
     def test_report_serializes(self, two_var_pce):
         doc = sobol_report(two_var_pce, grouping={"x1": "g", "x2": "g"}).to_dict()
