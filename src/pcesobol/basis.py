@@ -134,13 +134,14 @@ class MultiIndexSet:
         # each row's bytes as one opaque key; sorted, they are searchable
         keys = _row_keys(deg)
         order = np.argsort(keys)
-        sorted_keys = keys[order]
-        wanted = _row_keys(np.concatenate([deg - last, last]))
-        pos = np.minimum(np.searchsorted(sorted_keys, wanted), n - 1)
-        if not np.all(sorted_keys[pos] == wanted):
-            return None
-        found = order[pos]
-        return found[:n], found[n:]
+        found = []
+        for part in (deg - last, last):  # one at a time: N x M each
+            wanted = _row_keys(part)
+            at = order[np.minimum(np.searchsorted(keys, wanted, sorter=order), n - 1)]
+            if not np.all(keys[at] == wanted):
+                return None
+            found.append(at)
+        return found[0], found[1]
 
     def to_sparse_pairs(self) -> list:
         """Rows as lists of (coordinate, degree) pairs, zero entries elided."""

@@ -2,8 +2,10 @@
 
 The run configuration is a YAML document; every report written carries
 full provenance (config hash, seeds, package and numpy versions, response
-scale).  Model evaluation is resumable: completed rows are journaled and
-re-runs compute only what is missing.
+scale).  ``pce.json`` also records the sha256 of the design points and of
+the responses it was fitted to, and ``sobol_report.json`` the sha256 of the
+``pce.json`` bytes it read.  Model evaluation is resumable: completed rows
+are journaled and re-runs compute only what is missing.
 
 External models plug in through a file exchange: for each design row the
 runner writes a one-row CSV parameter file, invokes the configured command
@@ -256,14 +258,20 @@ def _external_row(command, exchange_dir: Path, names, job):
     raise RuntimeError(f"{err or 'non-finite response'}; exchange files kept: {kept}")
 
 
+def _array_digest(values):
+    """A sha256 of an array's shape and float64 bytes, open for more input."""
+    values = np.ascontiguousarray(values, dtype=float)
+    digest = hashlib.sha256(repr(values.shape).encode())
+    digest.update(values.tobytes())
+    return digest
+
+
 def journal_header(design: ExperimentalDesign, model_cfg: dict) -> str:
     """First line of an evaluation journal: a sha256 of the design points
     and of the model settings other than ``workers``, which changes where
     rows run but not their values."""
     settings = {k: v for k, v in model_cfg.items() if k != "workers"}
-    points = np.ascontiguousarray(design.points, dtype=float)
-    digest = hashlib.sha256(repr(points.shape).encode())
-    digest.update(points.tobytes())
+    digest = _array_digest(design.points)
     digest.update(json.dumps(settings, sort_keys=True, default=str).encode())
     return f"{_JOURNAL_FORMAT} {digest.hexdigest()}\n"
 
@@ -398,6 +406,8 @@ def cmd_fit(
             cfg,
             design=str(design_path),
             design_size=design.n,
+            points_sha256=_array_digest(design.points).hexdigest(),
+            responses_sha256=_array_digest(design.responses).hexdigest(),
             seeds={"design": cfg["design"].get("seed")},
             sweep=diag.rows,
             selected_p=diag.selected_p,
@@ -422,7 +432,8 @@ def _auto_grouping(names):
 
 
 def cmd_sobol(cfg, pce_path, grouping_path=None, *, out: Path) -> list:
-    pce = SparsePce.load(pce_path)
+    pce_bytes = Path(pce_path).read_bytes()
+    pce = SparsePce.from_dict(json.loads(pce_bytes))
     scfg = cfg["sobol"]
 
     grouping = None
@@ -447,7 +458,9 @@ def cmd_sobol(cfg, pce_path, grouping_path=None, *, out: Path) -> list:
 
     rpath = out / "sobol_report.json"
     doc = report.to_dict()
-    doc["provenance"] = provenance(cfg, pce=str(pce_path))
+    doc["provenance"] = provenance(
+        cfg, pce=str(pce_path), pce_sha256=hashlib.sha256(pce_bytes).hexdigest()
+    )
     doc["provenance"]["response_scale"] = pce.response_scale
     _write_json(rpath, doc)
     written.append(rpath)

@@ -9,23 +9,30 @@ tuned: model size along the path plays its role.
 Both jobs run in one pass over one thin QR of ``[1, psi_order...]``: each
 LAR pick is orthogonalized once by a column-append step that also checks
 and scores the prefix it completes, and the QR yields the next equiangular
-direction, so no Gram matrix is formed or factored.  The basis matrix is
-never centered: the correlations follow the LARS update, with one product
-``psi^T v`` per step.  That product takes one of two forms:
+direction, so no Gram matrix is formed or factored.  The basis matrix
+``psi`` is never centered: the correlations follow the LARS update, with
+one product ``psi^T v`` per step.  The path reads ``psi`` only through
+that product, the columns it picks and the centered column norms, and it
+holds ``psi`` in one of two forms:
 
-* *factored*: every column over two or more inputs is its parent column
-  (the term without its last nonzero degree) times its last column (that
-  degree alone), bit for bit, so ``psi^T v`` over those columns is read off
-  one small product ``(psi_parents * v)^T psi_lasts``; the other columns
-  take a plain product.
-* *dense*: the plain ``psi^T v``.
+* *factored*: only the constant, single-input, parent and last columns
+  are evaluated and held.  Every column over two or more inputs is its
+  parent column (the term without its last nonzero degree) times its last
+  column (that degree alone), bit for bit, so any other column is made on
+  demand, and ``psi^T v`` over those columns is read off one small product
+  ``(psi_parents * v)^T psi_lasts``.  On the 78-input screening set at
+  p = 6, q = 0.5 and 500 points, that is 469 of 9478 columns: 1.8 MiB
+  instead of 36.2 MiB.
+* *dense*: the whole matrix, and the plain ``psi^T v``.
 
-A path runs factored when its candidate set holds every parent and last
-(``MultiIndexSet.factors``) and has at least 8 times as many multi-input
-columns as distinct parent and last columns; otherwise, and always for
-``lar_path``, which sees no candidate set, it runs dense.  The rule reads
-the candidate set alone and is not a knob.  The QR, and so the active set,
-coefficients and LOO errors, use the columns of ``psi`` in both forms; only
+A fit holds its basis factored when its candidate set holds every parent
+and last (``MultiIndexSet.factors``) and has at least 8 times as many
+multi-input columns as distinct parent and last columns; otherwise, and
+always for ``lar_path``, which is given a matrix, it holds it dense.  The
+rule reads the candidate set alone, before anything is evaluated, and is
+not a knob.  Either form hands each picked column to the QR as a
+contiguous vector equal to that column of ``psi``, so the active set,
+coefficients and LOO errors are those of ``psi`` in both forms; only
 roundoff in the correlations differs.  ``loo_error`` and ``corrected_loo``
 run the same column-append step.
 
@@ -225,7 +232,7 @@ def lar_path(design_matrix, y):
     y = np.asarray(y, dtype=float).ravel()
     if y.shape[0] != psi.shape[0]:
         raise ValueError("responses do not match design matrix rows")
-    return _hybrid_path(psi, y).order
+    return _hybrid_path(_Basis(psi), y).order
 
 
 def loo_error(psi, y, coeffs) -> float:
@@ -382,37 +389,105 @@ class _HybridPath:
         return len(self.order)
 
 
-def _transpose_product(psi, factors):
-    """``(v -> psi^T v, form)``, with form ``"factored"`` or ``"dense"``.
+class _Basis:
+    """The candidate basis matrix ``psi`` (N x P), as the LAR path reads it.
 
-    ``factors`` is ``MultiIndexSet.factors()`` of the set whose basis
-    matrix is ``psi``, or None.  The factored form keeps copies of the
-    single-input, parent and last columns only (see the module docstring).
+    This dense form holds ``psi`` itself; ``_FactoredBasis`` holds only the
+    columns its product and its other columns are made from.
     """
+
+    form = "dense"
+
+    def __init__(self, psi):
+        self.held = np.asarray(psi, dtype=float)
+        self.n, self.size = self.held.shape
+
+    def t_product(self, v) -> np.ndarray:
+        """``psi^T v``."""
+        return self.held.T @ v
+
+    def columns(self, lo, hi) -> np.ndarray:
+        """Columns ``lo`` to ``hi - 1`` of ``psi``, as an (N, hi - lo) array
+        laid out row by row, so that column sums add in the same order in
+        both forms."""
+        return self.held[:, lo:hi]
+
+    def column(self, j) -> np.ndarray:
+        """Column ``j`` of ``psi`` as a contiguous vector."""
+        return np.ascontiguousarray(self.columns(j, j + 1)[:, 0])
+
+    def centered_norms(self) -> np.ndarray:
+        """Norms of the centered columns 1..P-1, formed 256 at a time:
+        sqrt(sum psi^2 - N mean^2) would cancel on a column with a large
+        offset and a small spread."""
+        norms = np.empty(self.size - 1)
+        for j in range(1, self.size, 256):
+            block = self.columns(j, j + 256)
+            norms[j - 1 : j + 255] = np.linalg.norm(block - block.mean(axis=0), axis=0)
+        return norms
+
+
+class _FactoredBasis(_Basis):
+    """``psi`` kept as its held columns: the zero, single-input, parent and
+    last rows of the candidate set (``MultiIndexSet.factors``).
+
+    Column j is ``held[:, left[j]] * held[:, right[j]]``: a held column
+    times the constant column, which is exact, or the parent column times
+    the last column, which ``factors`` guarantees is ``psi[:, j]`` bit for
+    bit.  ``psi^T v`` over the multi-input columns is read off one small
+    product ``(psi_parents * v)^T psi_lasts``.
+    """
+
+    form = "factored"
+
+    def __init__(self, held, rows, parent, last):
+        self.held = held
+        self.n, self.size = held.shape[0], len(parent)
+        self.rows = rows
+        at = np.zeros(self.size, dtype=np.intp)  # held column of each held row
+        at[rows] = np.arange(len(rows))
+        self.multi = np.flatnonzero(parent > 0)  # row 0 is the zero row
+        self.left = at.copy()
+        self.right = np.zeros(self.size, dtype=np.intp)
+        self.left[self.multi] = at[parent[self.multi]]
+        self.right[self.multi] = at[last[self.multi]]
+        parents, p_of = np.unique(self.left[self.multi], return_inverse=True)
+        lasts, l_of = np.unique(self.right[self.multi], return_inverse=True)
+        self.parents_t = np.ascontiguousarray(held[:, parents].T)
+        self.lasts = np.ascontiguousarray(held[:, lasts])
+        self.flat = p_of * len(lasts) + l_of
+
+    def t_product(self, v) -> np.ndarray:
+        out = np.empty(self.size)
+        out[self.rows] = v @ self.held
+        out[self.multi] = ((self.parents_t * v) @ self.lasts).ravel()[self.flat]
+        return out
+
+    def columns(self, lo, hi) -> np.ndarray:
+        left, right = self.left[lo:hi], self.right[lo:hi]
+        out = np.empty((self.n, len(left)))
+        return np.multiply(self.held[:, left], self.held[:, right], out=out)
+
+
+def _candidate_basis(candidate: MultiIndexSet, u, families) -> _Basis:
+    """The basis of ``candidate`` at standardized points ``u``, in the form
+    the module docstring's rule picks from ``candidate.factors()`` before
+    anything is evaluated."""
+    factors = candidate.factors()
     if factors is not None:
         parent, last = factors
-        multi = np.flatnonzero(parent > 0)  # row 0 is the zero row
-        parents, p_of = np.unique(parent[multi], return_inverse=True)
-        lasts, l_of = np.unique(last[multi], return_inverse=True)
+        multi = np.flatnonzero(parent > 0)
+        parents, lasts = np.unique(parent[multi]), np.unique(last[multi])
         if multi.size and multi.size >= _FACTOR_RATIO * (len(parents) + len(lasts)):
-            single = np.flatnonzero(parent == 0)
-            psi_single = np.ascontiguousarray(psi[:, single])
-            psi_parents = np.ascontiguousarray(psi[:, parents].T)
-            psi_lasts = np.ascontiguousarray(psi[:, lasts])
-            flat = p_of * len(lasts) + l_of
-
-            def factored(v):
-                out = np.empty(psi.shape[1])
-                out[single] = v @ psi_single
-                out[multi] = ((psi_parents * v) @ psi_lasts).ravel()[flat]
-                return out
-
-            return factored, "factored"
-    return (lambda v: psi.T @ v), "dense"
+            # graded-lex rows that include the zero row: a valid set
+            rows = np.union1d(np.flatnonzero(parent == 0), np.union1d(parents, lasts))
+            held = MultiIndexSet(candidate.degrees[rows], candidate.p, candidate.q)
+            return _FactoredBasis(eval_basis_matrix(held, u, families), rows, parent, last)
+    return _Basis(eval_basis_matrix(candidate, u, families))
 
 
-def _hybrid_path(psi, y, factors=None) -> _HybridPath:
-    """LAR over the non-constant columns of ``psi``, every prefix scored.
+def _hybrid_path(basis: _Basis, y) -> _HybridPath:
+    """LAR over the non-constant columns of ``basis``, every prefix scored.
 
     Each pick goes through ``_ThinQr.append``, whose first refusal ends the
     path.  With X_A the centered, unit-norm active columns, D their
@@ -420,29 +495,21 @@ def _hybrid_path(psi, y, factors=None) -> _HybridPath:
     the equiangular direction is Q_1 t with t = R_11^-T D s, and
     1^T (S X_A^T X_A S)^-1 1 = |t|^2.  The centered response and every
     direction v are orthogonal to the constant column, so X^T v is
-    psi^T v / D: one product with the uncentered ``psi`` per step, in the
-    form ``_transpose_product`` picks from ``factors``.  The path ends
-    ``_PATIENCE`` picks after its best prefix.
+    psi^T v / D: one ``basis.t_product`` with the uncentered ``psi`` per
+    step.  The path ends ``_PATIENCE`` picks after its best prefix.
     """
-    n = psi.shape[0]
-    # centered 256 columns at a time: sqrt(sum psi^2 - N mean^2) would
-    # cancel on a column with a large offset and a small spread
-    norms = np.empty(psi.shape[1] - 1)
-    for j in range(1, psi.shape[1], 256):
-        block = psi[:, j : j + 256]
-        norms[j - 1 : j + 255] = np.linalg.norm(block - block.mean(axis=0), axis=0)
+    norms = basis.centered_norms()
     # columns that are constant up to roundoff never compete
     inactive = norms > 1e-13 * max(1.0, float(np.max(norms, initial=0.0)))
     norms[~inactive] = 1.0
-    psi_t, product = _transpose_product(psi, factors)
 
-    qr = _ThinQr(y, min(n, int(np.count_nonzero(inactive)) + 1))
+    qr = _ThinQr(y, min(basis.n, int(np.count_nonzero(inactive)) + 1))
     active: list[int] = []  # columns of psi[:, 1:], in inclusion order
     best_k, best = None, (np.inf, np.inf)
     path_end = "candidates exhausted"
     try:
-        best_k, best = 0, qr.append(psi[:, 0])
-        c = psi_t(qr.resid)[1:] / norms  # resid: the centered response
+        best_k, best = 0, qr.append(basis.column(0))
+        c = basis.t_product(qr.resid)[1:] / norms  # resid: the centered response
         while np.any(inactive):
             c_in = np.where(inactive, np.abs(c), -np.inf)
             j_new = int(np.argmax(c_in))
@@ -450,7 +517,7 @@ def _hybrid_path(psi, y, factors=None) -> _HybridPath:
             if big_c < _CORR_TOL:
                 path_end = "correlation floor"
                 break
-            scored = qr.append(psi[:, j_new + 1])
+            scored = qr.append(basis.column(j_new + 1))
             active.append(j_new)
             inactive[j_new] = False
             if scored[1] < best[1]:
@@ -465,7 +532,7 @@ def _hybrid_path(psi, y, factors=None) -> _HybridPath:
             t = qr.r_inv[1 : k + 1, 1 : k + 1].T @ (norms[active] * signs)
             a_norm = 1.0 / float(np.linalg.norm(t))
             u_dir = (t * a_norm) @ qr.qt[1 : k + 1]
-            a = psi_t(u_dir)[1:] / norms
+            a = basis.t_product(u_dir)[1:] / norms
             with np.errstate(divide="ignore", invalid="ignore"):
                 g1 = (big_c - c) / (a_norm - a)
                 g2 = (big_c + c) / (a_norm + a)
@@ -483,7 +550,7 @@ def _hybrid_path(psi, y, factors=None) -> _HybridPath:
         k = best_k + 1
         coeffs = solve_triangular(qr.r[:k, :k], qr.qty[:k], lower=False)
     order = [j + 1 for j in active]
-    return _HybridPath(order, best_k, best[0], best[1], coeffs, path_end, product)
+    return _HybridPath(order, best_k, best[0], best[1], coeffs, path_end, basis.form)
 
 
 def _checked_responses(responses, design: ExperimentalDesign, scale: str):
@@ -524,8 +591,7 @@ def hybrid_fit(
         y = np.log(y)
 
     u = rv.to_standard(design.points)
-    psi = eval_basis_matrix(candidate, u, rv.families)
-    path = _hybrid_path(psi, y, candidate.factors())
+    path = _hybrid_path(_candidate_basis(candidate, u, rv.families), y)
     if path.best_k is None:
         raise RuntimeError("every candidate model along the path was degenerate")
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import sys
 
@@ -6,7 +7,7 @@ import pytest
 import yaml
 
 from pcesobol import ExperimentalDesign, load_responses_csv
-from pcesobol.cli import ConfigError, journal_header, load_config, main
+from pcesobol.cli import ConfigError, _array_digest, journal_header, load_config, main
 from conftest import ishigami, ishigami_analytic
 
 THREE_UNIFORMS = [
@@ -392,6 +393,31 @@ class TestFit:
         row = doc["provenance"]["sweep"][0]
         assert (row["picks"], row["path_end"]) == (3, "candidates exhausted")
         assert doc["provenance"]["config_sha256"]
+
+    def test_fit_and_report_bound_to_their_inputs(self, tmp_path):
+        cfg, design, responses = prepare_ishigami_run(tmp_path, n=40, p_max=1)
+        pce_path = tmp_path / "out" / "pce.json"
+        fit = ["fit", "--config", str(cfg), "--design", str(design),
+               "--responses", str(responses)]
+        main(fit)
+        first = json.loads(pce_path.read_text())["provenance"]
+        points = ExperimentalDesign.from_csv(design).points
+        assert first["points_sha256"] == _array_digest(points).hexdigest()
+        main(["sobol", "--config", str(cfg), "--pce", str(pce_path)])
+        report = json.loads((tmp_path / "out" / "sobol_report.json").read_text())
+        assert report["provenance"]["pce_sha256"] == (
+            hashlib.sha256(pce_path.read_bytes()).hexdigest()
+        )
+
+        y = load_responses_csv(responses)
+        y[7] += 1.0
+        with open(responses, "w") as fh:
+            fh.write("response\n")
+            np.savetxt(fh, y, fmt="%.17g")
+        main(fit)
+        second = json.loads(pce_path.read_text())["provenance"]
+        assert second["points_sha256"] == first["points_sha256"]
+        assert second["responses_sha256"] != first["responses_sha256"]
 
     def test_design_header_must_match_random_vector(self, tmp_path, capsys):
         cfg, design, responses = prepare_ishigami_run(tmp_path, n=40, p_max=1)

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,7 @@ from pcesobol import (
     loo_error,
 )
 from pcesobol import aquifer
-from pcesobol.regression import _hybrid_path, _transpose_product
+from pcesobol.regression import _Basis, _candidate_basis, _hybrid_path
 from lar_reference import best_prefix, gram_lar_path
 
 
@@ -128,7 +129,7 @@ class TestAgainstGramLar:
         ids=["correlated", "orthonormal", "random", "duplicate", "wide", "near-constant"],
     )
     def test_lar_path_problems(self, psi, y):
-        path = _hybrid_path(psi, y)
+        path = _hybrid_path(_Basis(psi), y)
         ref_order = gram_lar_path(psi, y)
         assert path.order == ref_order[: len(path.order)]
         ref_k, ref_beta = best_prefix(psi, y, ref_order)
@@ -172,7 +173,7 @@ class TestPathEnd:
         x = rng.normal(size=(300, 403))
         y = x[:, :3] @ np.array([2.0, -1.5, 1.0]) + 0.5 * rng.normal(size=300)
         psi = np.column_stack([np.ones(300), x])
-        path = _hybrid_path(psi, y)
+        path = _hybrid_path(_Basis(psi), y)
         ref_order = gram_lar_path(psi, y)
         assert len(ref_order) == 299
         assert path.order == ref_order[: len(path.order)]
@@ -187,7 +188,7 @@ class TestPathEnd:
         rng = np.random.default_rng(12)
         x = rng.normal(size=(40, 6))
         psi = np.column_stack([np.ones(40), x])
-        path = _hybrid_path(psi, 0.5 + 2.0 * x[:, 1] - x[:, 4])
+        path = _hybrid_path(_Basis(psi), 0.5 + 2.0 * x[:, 1] - x[:, 4])
         assert sorted(path.order) == [2, 5]
         assert path.path_end == "correlation floor"
         assert path.err_corrected == 0.0
@@ -271,45 +272,105 @@ def test_screening_sweep_models_pinned():
 
 
 class TestFactoredProduct:
+    @staticmethod
+    def both_forms(mset, n, seed):
+        rng = np.random.default_rng(seed)
+        u = rng.uniform(-1, 1, size=(n, mset.m))
+        families = ["legendre"] * mset.m
+        return _candidate_basis(mset, u, families), eval_basis_matrix(mset, u, families)
+
+    # the screening set at p 6, and 5456 rows with 406 pair parents
+    FACTORED_SETS = ((78, 6, 0.5), (30, 3, 1.0))
+
     def test_matches_the_dense_product(self):
-        rng = np.random.default_rng(31)
-        mset = enumerate_hyperbolic(78, 6, 0.5)
-        psi = eval_basis_matrix(mset, rng.uniform(-1, 1, size=(60, 78)), ["legendre"] * 78)
-        product, form = _transpose_product(psi, mset.factors())
-        assert form == "factored"
-        for v in (rng.normal(size=60), psi[:, 5] - psi[:, 5].mean()):
-            bound = np.abs(psi).T @ np.abs(v)
-            assert np.all(np.abs(product(v) - psi.T @ v) <= 1e-13 * bound)
+        for seed, (m, p, q) in enumerate(self.FACTORED_SETS, start=31):
+            mset = enumerate_hyperbolic(m, p, q)
+            basis, psi = self.both_forms(mset, 60, seed)
+            assert basis.form == "factored"
+            assert basis.size == len(mset)
+            rng = np.random.default_rng(seed)
+            for v in (rng.normal(size=60), psi[:, 5] - psi[:, 5].mean()):
+                bound = np.abs(psi).T @ np.abs(v)
+                assert np.all(np.abs(basis.t_product(v) - psi.T @ v) <= 1e-13 * bound)
+            # every column bit for bit, and contiguous
+            for lo in range(0, len(mset), 1000):
+                assert basis.columns(lo, lo + 1000).tobytes() == np.ascontiguousarray(
+                    psi[:, lo : lo + 1000]
+                ).tobytes()
+            col = basis.column(len(mset) - 1)
+            assert col.flags["C_CONTIGUOUS"] and col.tobytes() == psi[:, -1].tobytes()
+            assert basis.centered_norms().tobytes() == _Basis(psi).centered_norms().tobytes()
+
+    def test_holds_only_the_factor_columns(self):
+        mset = enumerate_hyperbolic(30, 3, 1.0)
+        parent, last = mset.factors()
+        multi = parent > 0
+        assert np.count_nonzero(multi[np.unique(parent[multi])]) == 406
+        basis, _ = self.both_forms(mset, 8, 35)
+        held = np.union1d(np.flatnonzero(~multi), np.union1d(parent[multi], last[multi]))
+        assert basis.rows.tolist() == held.tolist()
+        assert basis.held.shape == (8, 1 + 90 + 406)
 
     def test_chosen_from_the_candidate_set(self):
-        psi = np.ones((5, 1))
-        assert _transpose_product(psi, None)[1] == "dense"
+        def form(mset):
+            u = np.zeros((5, mset.m))
+            return _candidate_basis(mset, u, ["legendre"] * mset.m).form
+
+        # not downward closed: (1, 1) has no parent (1, 0)
+        assert form(MultiIndexSet(np.array([[0, 0], [0, 1], [1, 1]]), 2, 1.0)) == "dense"
         # screening at p <= 3: no multi-input columns
-        mset = enumerate_hyperbolic(78, 3, 0.5)
-        assert _transpose_product(np.ones((5, len(mset))), mset.factors())[1] == "dense"
+        assert form(enumerate_hyperbolic(78, 3, 0.5)) == "dense"
         # Ishigami at p 12: 418 pair and triple columns from 99 factors
-        mset = enumerate_hyperbolic(3, 12, 1.0)
-        assert _transpose_product(np.ones((5, len(mset))), mset.factors())[1] == "dense"
+        assert form(enumerate_hyperbolic(3, 12, 1.0)) == "dense"
         # 780 pair columns from 78 factors
-        mset = enumerate_hyperbolic(40, 4, 0.5)
-        assert _transpose_product(np.ones((5, len(mset))), mset.factors())[1] == "factored"
+        assert form(enumerate_hyperbolic(40, 4, 0.5)) == "factored"
 
     def test_path_is_the_dense_path(self):
-        rng = np.random.default_rng(32)
-        rv = unit_rv(40)
-        mset = enumerate_hyperbolic(40, 4, 0.5)
-        design = lhs(200, rv, seed=33)
-        psi = eval_basis_matrix(mset, rv.to_standard(design.points), rv.families)
-        truth = rng.choice(len(mset), size=8, replace=False)
-        y = psi[:, truth] @ rng.normal(size=8) + 0.1 * rng.normal(size=200)
-        dense = _hybrid_path(psi, y)
-        factored = _hybrid_path(psi, y, mset.factors())
-        assert (dense.product, factored.product) == ("dense", "factored")
-        assert factored.order == dense.order
-        assert factored.best_k == dense.best_k
-        assert factored.coeffs.tobytes() == dense.coeffs.tobytes()
-        assert (factored.err_corrected, factored.path_end) == (dense.err_corrected, dense.path_end)
-        assert hybrid_fit(mset, design, y, rv).product == "factored"
+        for m, p, q in ((40, 4, 0.5), (30, 3, 1.0)):
+            rng = np.random.default_rng(32)
+            rv = unit_rv(m)
+            mset = enumerate_hyperbolic(m, p, q)
+            design = lhs(200, rv, seed=33)
+            u = rv.to_standard(design.points)
+            psi = eval_basis_matrix(mset, u, rv.families)
+            truth = rng.choice(len(mset), size=8, replace=False)
+            y = psi[:, truth] @ rng.normal(size=8) + 0.1 * rng.normal(size=200)
+            dense = _hybrid_path(_Basis(psi), y)
+            factored = _hybrid_path(_candidate_basis(mset, u, rv.families), y)
+            assert (dense.product, factored.product) == ("dense", "factored")
+            assert factored.order == dense.order
+            assert factored.best_k == dense.best_k
+            assert factored.coeffs.tobytes() == dense.coeffs.tobytes()
+            assert (factored.err_corrected, factored.path_end) == (
+                dense.err_corrected, dense.path_end
+            )
+            assert hybrid_fit(mset, design, y, rv).product == "factored"
+
+    def test_fit_never_evaluates_the_full_set(self, monkeypatch):
+        from pcesobol import regression
+
+        rv = unit_rv(78)
+        mset = enumerate_hyperbolic(78, 6, 0.5)
+        design = lhs(200, rv, seed=36)
+        x = design.points
+        y = x[:, 0] + x[:, 1] * x[:, 2] ** 2 + 0.1 * np.sin(3 * x[:, 3])
+        shapes = []
+
+        def recording(*args, **kwargs):
+            out = eval_basis_matrix(*args, **kwargs)
+            shapes.append(out.shape)
+            return out
+
+        monkeypatch.setattr(regression, "eval_basis_matrix", recording)
+        tracemalloc.start()
+        try:
+            pce = hybrid_fit(mset, design, y, rv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert pce.product == "factored"
+        assert max(cols for _, cols in shapes) <= 1 + 78 * 6
+        assert peak < 200 * len(mset) * 8 / 2
 
 
 class TestLooError:
