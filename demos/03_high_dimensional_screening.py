@@ -7,19 +7,21 @@ hundred runs separate the handful of influential petrofacies from the
 rest of the 78 inputs.
 
 Run:  python demos/03_high_dimensional_screening.py [n_points] [p_max]
-(defaults n=150, p_max=3).  The model rows run on every available core:
-the defaults took 25 s on 2 cores with OPENBLAS_NUM_THREADS=1, and 58 s
-with OpenBLAS's default threads, which make the workers compete.
+(defaults n=150, p_max=3).  The model rows and the fits run on every
+available core.  pcesobol is imported before numpy, so that it pins one
+BLAS thread per worker: the defaults took 25 s on 2 cores with one
+thread, and 58 s with OpenBLAS's default threads, which make the workers
+compete.
 """
 
 import os
 import sys
 import time
 
-import numpy as np
-
-import pcesobol as ps
+import pcesobol as ps  # before numpy: see the docstring
 from pcesobol import aquifer as aq
+
+import numpy as np
 
 
 def main():

@@ -5,7 +5,28 @@ designs, then read the full ladder of Sobol' indices, error estimates and
 univariate effects straight off the coefficients.  A coarse-grid layered
 aquifer model (steady flow plus mean lifetime expectancy) ships as the
 bundled high-dimensional demonstration black box.
+
+Importing the package sets each BLAS and OpenMP thread-count variable the
+user has not set to 1.  Fits and model rows run on one forked worker per
+core, so one BLAS thread each keeps them from competing for the cores.
+OpenBLAS reads these variables once, when numpy loads it, so they pin the
+threads only when this package is imported before numpy, as the
+``pcesobol`` command does; subprocesses, such as external-model commands,
+inherit them either way.
 """
+
+import os
+
+_THREAD_VARS = (
+    "OMP_NUM_THREADS",
+    "OPENBLAS_NUM_THREADS",
+    "MKL_NUM_THREADS",
+    "BLIS_NUM_THREADS",
+    "VECLIB_MAXIMUM_THREADS",
+    "NUMEXPR_NUM_THREADS",
+)
+for _var in _THREAD_VARS:
+    os.environ.setdefault(_var, "1")
 
 from .probability import Marginal, RandomVector
 from .sampling import ExperimentalDesign, lhs, load_responses_csv, nested_lhs_enrich
@@ -21,6 +42,7 @@ from .regression import (
     FitDiagnostics,
     SparsePce,
     adaptive_fit,
+    adaptive_fit_draws,
     corrected_loo,
     generalization_error,
     hybrid_fit,
@@ -58,6 +80,7 @@ __all__ = [
     "SubsampleStudy",
     "UnivariateEffect",
     "adaptive_fit",
+    "adaptive_fit_draws",
     "aquifer",
     "corrected_loo",
     "count_total_degree",

@@ -43,6 +43,13 @@ path, since every longer prefix contains it.  The path also ends once 100
 picks have passed without a new best corrected LOO error (patience), when
 every residual correlation is below 1e-12, when no step length is left, or
 when the candidates run out; the fit records which.
+
+A degree sweep (``adaptive_fit``, and ``adaptive_fit_draws`` over many
+row draws) runs its fits through ``evaluation.map_jobs`` on one worker
+per available core; ``taskset -c 0`` runs them serially.  On one worker
+the degrees are fitted in ascending order up to the sweep's stop.  On
+more, every degree is fitted, highest first, and those past the stop are
+dropped, so the selected model and the sweep table are the same.
 """
 
 from __future__ import annotations
@@ -56,6 +63,7 @@ from scipy.linalg import solve_triangular
 from scipy.linalg import cho_factor  # noqa: F401
 
 from .basis import MultiIndexSet, enumerate_hyperbolic, eval_basis_matrix
+from .evaluation import map_jobs, worker_count
 from .probability import Marginal, RandomVector
 from .sampling import ExperimentalDesign
 
@@ -619,6 +627,80 @@ def hybrid_fit(
     )
 
 
+def _fit_degree(job):
+    """One fit of a sweep: ``(candidate size, pce, None)``, or ``(candidate
+    size, None, message)`` when the fit failed as a degree may fail."""
+    design, y, rv, p, q, scale = job
+    candidate = enumerate_hyperbolic(rv.m, p, q)
+    try:
+        return len(candidate), hybrid_fit(candidate, design, y, rv, scale), None
+    except (RuntimeError, np.linalg.LinAlgError) as exc:
+        return len(candidate), None, str(exc)
+
+
+def _select(p_list, fit):
+    """Walk ``fit(p)`` over ``p_list`` in ascending order, stopping three
+    degrees after the last improvement; return ``(best_pce, diagnostics)``."""
+    diag = FitDiagnostics()
+    best: SparsePce | None = None
+    stall = 0
+    last_error = None
+    for p in p_list:
+        candidate_size, pce, error = fit(p)
+        if pce is None:
+            diag.add(p, candidate_size, status=f"failed: {error}")
+            last_error = error
+        else:
+            diag.add(p, candidate_size, pce)
+            if best is None or pce.err_loo_corrected < best.err_loo_corrected:
+                best, stall = pce, 0
+                continue
+        stall += 1
+        if stall >= 3 and best is not None:
+            break
+    if best is None:
+        raise RuntimeError(f"every degree in the sweep failed: {last_error}")
+    diag.selected_p = best.degree
+    return best, diag
+
+
+def adaptive_fit_draws(
+    draws,
+    rv: RandomVector,
+    p_range,
+    q: float,
+    scale: str = ORIGINAL,
+):
+    """Degree-adaptive fit of each draw, a ``(design, responses)`` pair.
+
+    Returns one ``(best_pce, diagnostics)`` per draw, in draw order, each
+    as ``adaptive_fit`` describes.  The fits run on one worker per
+    available core (``evaluation.worker_count``; ``taskset -c 0`` runs
+    them serially).  On one worker, each draw's degrees are fitted lazily
+    in ascending order and the sweep stops where the rule stops it.  On
+    more, every (draw, degree) fit goes to the pool as one list, highest
+    degree first, so the longest fits start at once; the rule is then
+    applied to each draw in ascending degree, and fits past its stop are
+    dropped, so the result is the same.  A fit that raises anything other
+    than ``RuntimeError`` or ``LinAlgError`` raises here.
+    """
+    p_list = sorted(set(int(p) for p in p_range))
+    if not p_list or p_list[0] < 1:
+        raise ValueError("p_range must contain degrees >= 1")
+    # input-contract problems would repeat identically at every degree
+    draws = [(design, _checked_responses(y, design, scale)) for design, y in draws]
+    workers = worker_count()
+    if workers <= 1:
+        return [
+            _select(p_list, lambda p: _fit_degree((design, y, rv, p, q, scale)))
+            for design, y in draws
+        ]
+    keys = [(d, p) for p in reversed(p_list) for d in range(len(draws))]
+    jobs = [(*draws[d], rv, p, q, scale) for d, p in keys]
+    fitted = dict(zip(keys, map_jobs(_fit_degree, jobs, workers)))
+    return [_select(p_list, lambda p: fitted[d, p]) for d in range(len(draws))]
+
+
 def adaptive_fit(
     design: ExperimentalDesign,
     responses,
@@ -632,34 +714,11 @@ def adaptive_fit(
     ``p_range`` is an iterable of candidate maximum degrees, swept in
     ascending order.  Once a degree has been fitted, the sweep ends after
     three consecutive degrees without improvement.  Ties go to the smaller
-    degree.  Returns ``(best_pce, diagnostics)``.
-    """
-    p_list = sorted(set(int(p) for p in p_range))
-    if not p_list or p_list[0] < 1:
-        raise ValueError("p_range must contain degrees >= 1")
-    # input-contract problems would repeat identically at every degree
-    y = _checked_responses(responses, design, scale)
+    degree.  A degree whose fit fails keeps a ``failed: ...`` row.
+    Returns ``(best_pce, diagnostics)``.
 
-    diag = FitDiagnostics()
-    best: SparsePce | None = None
-    stall = 0
-    last_error: Exception | None = None
-    for p in p_list:
-        candidate = enumerate_hyperbolic(rv.m, p, q)
-        try:
-            pce = hybrid_fit(candidate, design, y, rv, scale)
-        except (RuntimeError, np.linalg.LinAlgError) as exc:
-            diag.add(p, len(candidate), status=f"failed: {exc}")
-            last_error = exc
-        else:
-            diag.add(p, len(candidate), pce)
-            if best is None or pce.err_loo_corrected < best.err_loo_corrected:
-                best, stall = pce, 0
-                continue
-        stall += 1
-        if stall >= 3 and best is not None:
-            break
-    if best is None:
-        raise RuntimeError(f"every degree in the sweep failed: {last_error}")
-    diag.selected_p = best.degree
-    return best, diag
+    This is ``adaptive_fit_draws`` with one draw: the degrees are fitted on
+    one worker per available core, and on more than one, degrees past the
+    stop are fitted too and then dropped, with the same result.
+    """
+    return adaptive_fit_draws([(design, responses)], rv, p_range, q, scale)[0]

@@ -19,7 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import eval_orthonormal_all
-from .regression import SparsePce, adaptive_fit
+from .regression import SparsePce, adaptive_fit_draws
+# not called here: perfbench's trace plan wraps this name
+from .regression import adaptive_fit  # noqa: F401
 from .sampling import ExperimentalDesign
 
 
@@ -274,7 +276,9 @@ def repeated_subsample_study(
     Each repetition draws ``subset_size`` points without replacement from
     the design (per-repetition streams derived from the root seed, so
     repetitions are independent and order-insensitive), runs the adaptive
-    fit and records the total indices.
+    fit and records the total indices.  All repetitions go to
+    ``adaptive_fit_draws`` as one list of draws, so their fits share one
+    worker per available core.
     """
     y = np.asarray(responses, dtype=float).ravel()
     if y.shape[0] != design.n:
@@ -283,12 +287,11 @@ def repeated_subsample_study(
         raise ValueError("subset size must lie in [1, N]")
     if repetitions < 1:
         raise ValueError("need at least one repetition")
-    totals = np.empty((repetitions, rv.m))
-    streams = np.random.SeedSequence(seed).spawn(repetitions)
-    for r, stream in enumerate(streams):
+    draws = []
+    for stream in np.random.SeedSequence(seed).spawn(repetitions):
         rng = np.random.default_rng(stream)
         rows = rng.choice(design.n, size=subset_size, replace=False)
-        sub = ExperimentalDesign(design.names, design.points[rows])
-        pce, _ = adaptive_fit(sub, y[rows], rv, p_range, q, scale)
-        totals[r] = sobol_total(pce)
+        draws.append((ExperimentalDesign(design.names, design.points[rows]), y[rows]))
+    fits = adaptive_fit_draws(draws, rv, p_range, q, scale)
+    totals = np.array([sobol_total(pce) for pce, _ in fits])
     return SubsampleStudy(tuple(design.names), totals, subset_size, seed)

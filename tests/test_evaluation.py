@@ -1,12 +1,19 @@
 """The row driver that every caller of a model goes through."""
 
+import multiprocessing
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from pcesobol import aquifer as aq
-from pcesobol import evaluate_rows, lhs
+from pcesobol import Marginal, RandomVector, adaptive_fit, evaluate_rows, lhs
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def double_unless_negative(point):
@@ -48,3 +55,36 @@ def test_pool_equals_serial_aquifer_bit_for_bit():
     results = list(evaluate_rows(aq.evaluate, points, workers=2))
     assert [err for _, _, err in results] == ["", "", ""]
     assert [value for _, value, _ in results] == serial
+
+
+def rows_and_sweep(_):
+    # run inside a pool worker, which is a daemonic process
+    points = np.array([[1.0], [-1.0], [3.0]])
+    rows = list(evaluate_rows(double_unless_negative, points, workers=2))
+    rv = RandomVector(("x0", "x1"), (Marginal.uniform(-1.0, 1.0),) * 2)
+    design = lhs(40, rv, seed=7)
+    pce, diag = adaptive_fit(design, np.sin(design.points[:, 0]), rv, range(1, 5), q=1.0)
+    return rows, pce.coefficients.tobytes(), diag.rows
+
+
+def test_no_pool_inside_a_daemonic_process():
+    here = rows_and_sweep(None)
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        inside = pool.map(rows_and_sweep, [None])[0]
+    assert inside[1:] == here[1:]
+    # NaN != NaN: compare the failed row's message and the others' values
+    assert [(i, err) for i, _, err in inside[0]] == [(i, err) for i, _, err in here[0]]
+    assert [inside[0][k][1] for k in (0, 2)] == [here[0][k][1] for k in (0, 2)] == [2.0, 6.0]
+
+
+def test_one_available_core_means_one_worker():
+    # as under taskset -c 0: the process may run on one core only
+    code = (
+        "import os; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); "
+        "from pcesobol import evaluation; print(evaluation.worker_count())"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == "1"

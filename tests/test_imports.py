@@ -6,7 +6,10 @@ package.  No linter ships with the project, so these stand in for the
 unused-import and dead-code rules.  Package ``__init__`` files are skipped
 by the import rule: their imports are the public re-exports.  A private
 name stays in its module: no module imports another's ``_name``.
-Importing the package loads no more of scipy than it calls.
+Process pools are built in ``evaluation.py`` alone, so every map over
+workers goes through ``map_jobs``.  Importing the package loads no more of
+scipy than it calls, and pins each BLAS thread variable the user left
+unset to one thread.
 """
 
 import ast
@@ -23,6 +26,8 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "pcesobol"
 ALLOWED = {
     # perfbench's trace plan counts calls through this name
     ("regression.py", "cho_factor"),
+    # perfbench's trace plan wraps this name
+    ("sensitivity.py", "adaptive_fit"),
 }
 
 MODULES = sorted(p for p in PACKAGE.rglob("*.py") if p.name != "__init__.py")
@@ -101,17 +106,56 @@ def test_no_private_names_imported():
     assert not shared, f"private names imported from another module: {shared}"
 
 
-def test_import_does_not_load_scipy_stats():
-    env = dict(os.environ)
+POOLS = {"ProcessPoolExecutor", "Pool"}
+
+
+def test_pools_are_built_in_evaluation_only():
+    built = [
+        f"{path.relative_to(PACKAGE)}:{node.lineno}"
+        for path in MODULES
+        if path.name != "evaluation.py"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) in POOLS
+    ]
+    assert not built, f"process pools built outside evaluation.py: {built}"
+
+
+def _run_python(code, env=None):
+    env = dict(os.environ if env is None else env)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")])
-    )
-    code = (
-        "import sys, pcesobol, pcesobol.cli; "
-        "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip()
+
+
+def test_import_does_not_load_scipy_stats():
+    code = (
+        "import sys, pcesobol, pcesobol.cli; "
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
+    )
+    assert _run_python(code) == "[]"
+
+
+THREAD_VARS = (
+    "OMP_NUM_THREADS",
+    "OPENBLAS_NUM_THREADS",
+    "MKL_NUM_THREADS",
+    "BLIS_NUM_THREADS",
+    "VECLIB_MAXIMUM_THREADS",
+    "NUMEXPR_NUM_THREADS",
+)
+
+
+def test_import_pins_unset_blas_threads():
+    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
+    env["OPENBLAS_NUM_THREADS"] = "3"  # the user's setting is kept
+    code = (
+        "import os, sys, pcesobol; "
+        f"print(' '.join(os.environ.get(v, '-') for v in {THREAD_VARS!r}))"
+    )
+    assert _run_python(code, env) == "1 3 1 1 1 1"
