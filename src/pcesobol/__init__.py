@@ -7,27 +7,18 @@ aquifer model (steady flow plus mean lifetime expectancy) ships as the
 bundled high-dimensional demonstration black box.
 
 Importing the package sets each BLAS and OpenMP thread-count variable the
-user has not set to 1.  Fits and model rows run on one forked worker per
-core, so one BLAS thread each keeps them from competing for the cores.
-OpenBLAS reads these variables once, when numpy loads it, so they pin the
-threads only when this package is imported before numpy, as the
-``pcesobol`` command does; subprocesses, such as external-model commands,
-inherit them either way.
+user has not set to 1 (see ``evaluation``).  A degree sweep's fits run on
+one forked worker per core, and one BLAS thread each keeps them from
+competing for the cores.  A BLAS library reads these variables once, when
+numpy loads it, so they pin its threads only when this package is imported
+before numpy, as the ``pcesobol`` command does; otherwise, unless the
+variables were set before numpy loaded, the fits run in this process.
+Subprocesses, such as external-model commands, inherit the variables
+either way.
 """
 
-import os
-
-_THREAD_VARS = (
-    "OMP_NUM_THREADS",
-    "OPENBLAS_NUM_THREADS",
-    "MKL_NUM_THREADS",
-    "BLIS_NUM_THREADS",
-    "VECLIB_MAXIMUM_THREADS",
-    "NUMEXPR_NUM_THREADS",
-)
-for _var in _THREAD_VARS:
-    os.environ.setdefault(_var, "1")
-
+# first: the evaluation module pins BLAS threads before numpy loads
+from .evaluation import evaluate_rows
 from .probability import Marginal, RandomVector
 from .sampling import ExperimentalDesign, lhs, load_responses_csv, nested_lhs_enrich
 from .basis import (
@@ -37,7 +28,6 @@ from .basis import (
     eval_basis_matrix,
     eval_orthonormal_all,
 )
-from .evaluation import evaluate_rows
 from .regression import (
     FitDiagnostics,
     SparsePce,

@@ -45,17 +45,21 @@ every residual correlation is below 1e-12, when no step length is left, or
 when the candidates run out; the fit records which.
 
 A degree sweep (``adaptive_fit``, and ``adaptive_fit_draws`` over many
-row draws) runs its fits through ``evaluation.map_jobs`` on one worker
-per available core; ``taskset -c 0`` runs them serially.  On one worker
-the degrees are fitted in ascending order up to the sweep's stop.  On
-more, every degree is fitted, highest first, and those past the stop are
-dropped, so the selected model and the sweep table are the same.
+row draws) runs its fits through ``evaluation.map_scheduled`` on one
+worker per available core; ``taskset -c 0`` runs them serially.  On one
+worker the degrees are fitted in ascending order up to the sweep's stop.
+On more, the highest degrees the sweep is sure to reach start first, and
+at most one degree per worker past those may be started too; such a fit
+is dropped, or ended once the sweep stops, so the selected model and the
+sweep table are the same.
 """
 
 from __future__ import annotations
 
 import json
+from contextlib import closing
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -63,7 +67,7 @@ from scipy.linalg import solve_triangular
 from scipy.linalg import cho_factor  # noqa: F401
 
 from .basis import MultiIndexSet, enumerate_hyperbolic, eval_basis_matrix
-from .evaluation import map_jobs, worker_count
+from .evaluation import map_scheduled, worker_count
 from .probability import Marginal, RandomVector
 from .sampling import ExperimentalDesign
 
@@ -638,30 +642,61 @@ def _fit_degree(job):
         return len(candidate), None, str(exc)
 
 
-def _select(p_list, fit):
-    """Walk ``fit(p)`` over ``p_list`` in ascending order, stopping three
-    degrees after the last improvement; return ``(best_pce, diagnostics)``."""
-    diag = FitDiagnostics()
-    best: SparsePce | None = None
-    stall = 0
-    last_error = None
-    for p in p_list:
-        candidate_size, pce, error = fit(p)
+class _Sweep:
+    """The early-stop rule of one degree sweep, fed fits in any order.
+
+    A fit is a callable that returns what ``_fit_degree`` returns, or
+    raises what it raised.  It is called, in ascending degree, once every
+    lower degree's fit has come in.  The walk stops three degrees after the
+    last improvement, once a degree has been fitted; fits past the stop
+    are never called, so an error they hold is dropped.
+    """
+
+    def __init__(self, p_list):
+        self.p_list = p_list
+        self.diag = FitDiagnostics()
+        self.best: SparsePce | None = None
+        self.stall = 0
+        self.last_error = None
+        self.walked = 0  # p_list[:walked] have been walked
+        self.stopped = False
+        self._waiting = {}  # fits above the walk, by index into p_list
+
+    def add(self, index, fit):
+        self._waiting[index] = fit
+        while not self.stopped and self.walked in self._waiting:
+            self._step(self._waiting.pop(self.walked))
+
+    def _step(self, fit):
+        p = self.p_list[self.walked]
+        self.walked += 1
+        candidate_size, pce, error = fit()
         if pce is None:
-            diag.add(p, candidate_size, status=f"failed: {error}")
-            last_error = error
+            self.diag.add(p, candidate_size, status=f"failed: {error}")
+            self.last_error = error
+            self.stall += 1
         else:
-            diag.add(p, candidate_size, pce)
-            if best is None or pce.err_loo_corrected < best.err_loo_corrected:
-                best, stall = pce, 0
-                continue
-        stall += 1
-        if stall >= 3 and best is not None:
-            break
-    if best is None:
-        raise RuntimeError(f"every degree in the sweep failed: {last_error}")
-    diag.selected_p = best.degree
-    return best, diag
+            self.diag.add(p, candidate_size, pce)
+            if self.best is None or pce.err_loo_corrected < self.best.err_loo_corrected:
+                self.best, self.stall = pce, 0
+            else:
+                self.stall += 1
+        finished = self.walked == len(self.p_list)
+        self.stopped = finished or (self.stall >= 3 and self.best is not None)
+
+    def reach(self):
+        """The highest index into ``p_list`` the walk is sure to reach,
+        whatever the fits still to come say."""
+        if self.stopped:
+            return self.walked - 1
+        ahead = 3 if self.best is None else 2 - self.stall
+        return min(self.walked + ahead, len(self.p_list) - 1)
+
+    def result(self):
+        if self.best is None:
+            raise RuntimeError(f"every degree in the sweep failed: {self.last_error}")
+        self.diag.selected_p = self.best.degree
+        return self.best, self.diag
 
 
 def adaptive_fit_draws(
@@ -674,31 +709,57 @@ def adaptive_fit_draws(
     """Degree-adaptive fit of each draw, a ``(design, responses)`` pair.
 
     Returns one ``(best_pce, diagnostics)`` per draw, in draw order, each
-    as ``adaptive_fit`` describes.  The fits run on one worker per
-    available core (``evaluation.worker_count``; ``taskset -c 0`` runs
-    them serially).  On one worker, each draw's degrees are fitted lazily
-    in ascending order and the sweep stops where the rule stops it.  On
-    more, every (draw, degree) fit goes to the pool as one list, highest
-    degree first, so the longest fits start at once; the rule is then
-    applied to each draw in ascending degree, and fits past its stop are
-    dropped, so the result is the same.  A fit that raises anything other
-    than ``RuntimeError`` or ``LinAlgError`` raises here.
+    as ``adaptive_fit`` describes.  The fits run on ``worker_count()``
+    workers: one per available core, when each runs one BLAS thread
+    (``taskset -c 0`` runs them serially).  On one worker, each draw's
+    degrees are fitted in ascending order up to the sweep's stop.  On more,
+    each draw's fits go to the pool as workers free up: of the degrees its
+    sweep is sure to reach, plus at most ``workers`` beyond them, the
+    highest not yet started goes first, so the longest fits start at once.
+    A fit past a sweep's stop is dropped, with any error it raised, so the
+    selected models and sweep tables are those of the serial sweep; once
+    every sweep has stopped, such fits still running are ended, not
+    awaited.  A fit the sweep reaches that raises anything other than
+    ``RuntimeError`` or ``LinAlgError`` raises here.
     """
     p_list = sorted(set(int(p) for p in p_range))
     if not p_list or p_list[0] < 1:
         raise ValueError("p_range must contain degrees >= 1")
     # input-contract problems would repeat identically at every degree
     draws = [(design, _checked_responses(y, design, scale)) for design, y in draws]
+    sweeps = [_Sweep(p_list) for _ in draws]
     workers = worker_count()
     if workers <= 1:
-        return [
-            _select(p_list, lambda p: _fit_degree((design, y, rv, p, q, scale)))
-            for design, y in draws
-        ]
-    keys = [(d, p) for p in reversed(p_list) for d in range(len(draws))]
-    jobs = [(*draws[d], rv, p, q, scale) for d, p in keys]
-    fitted = dict(zip(keys, map_jobs(_fit_degree, jobs, workers)))
-    return [_select(p_list, lambda p: fitted[d, p]) for d in range(len(draws))]
+        for (design, y), sweep in zip(draws, sweeps):
+            while not sweep.stopped:
+                job = (design, y, rv, p_list[sweep.walked], q, scale)
+                sweep.add(sweep.walked, partial(_fit_degree, job))
+        return [sweep.result() for sweep in sweeps]
+
+    started = [set() for _ in draws]
+
+    def next_fit():
+        # the highest unstarted degree of any draw's window; ties to the first draw
+        pick = None
+        for d, sweep in enumerate(sweeps):
+            if sweep.stopped:
+                continue
+            top = min(sweep.reach() + workers, len(p_list) - 1)
+            index = next((i for i in range(top, -1, -1) if i not in started[d]), -1)
+            if pick is None or index > pick[1]:
+                pick = (d, index)
+        if pick is None or pick[1] < 0:
+            return None
+        d, index = pick
+        started[d].add(index)
+        return pick, (*draws[d], rv, p_list[index], q, scale)
+
+    with closing(map_scheduled(_fit_degree, next_fit, workers)) as fits:
+        for (d, index), future in fits:
+            sweeps[d].add(index, future.result)
+            if all(sweep.stopped for sweep in sweeps):
+                break  # closing the map ends the fits past the stops
+    return [sweep.result() for sweep in sweeps]
 
 
 def adaptive_fit(
@@ -718,7 +779,8 @@ def adaptive_fit(
     Returns ``(best_pce, diagnostics)``.
 
     This is ``adaptive_fit_draws`` with one draw: the degrees are fitted on
-    one worker per available core, and on more than one, degrees past the
-    stop are fitted too and then dropped, with the same result.
+    one worker per available core, and on more than one, up to that many
+    degrees past the stop may be fitted too and then dropped, with the
+    same result.
     """
     return adaptive_fit_draws([(design, responses)], rv, p_range, q, scale)[0]

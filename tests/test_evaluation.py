@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from pcesobol import aquifer as aq
-from pcesobol import Marginal, RandomVector, adaptive_fit, evaluate_rows, lhs
+from pcesobol import Marginal, RandomVector, adaptive_fit, evaluate_rows, evaluation, lhs
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -77,14 +77,61 @@ def test_no_pool_inside_a_daemonic_process():
     assert [inside[0][k][1] for k in (0, 2)] == [here[0][k][1] for k in (0, 2)] == [2.0, 6.0]
 
 
-def test_one_available_core_means_one_worker():
-    # as under taskset -c 0: the process may run on one core only
-    code = (
-        "import os; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); "
-        "from pcesobol import evaluation; print(evaluation.worker_count())"
-    )
-    env = dict(os.environ)
+def worker_count_in_python(imports, **thread_vars):
+    """``evaluation.worker_count()`` in a fresh interpreter that runs
+    ``imports`` first, with only ``thread_vars`` of the thread variables set."""
+    env = {k: v for k, v in os.environ.items() if not k.endswith("_THREADS")}
+    env.update(thread_vars)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    code = f"{imports}; from pcesobol import evaluation; print(evaluation.worker_count())"
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr[-2000:]
-    assert proc.stdout.strip() == "1"
+    return int(proc.stdout)
+
+
+def test_one_available_core_means_one_worker():
+    # as under taskset -c 0: the process may run on one core only
+    one_core = "import os; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})"
+    assert worker_count_in_python(one_core) == 1
+
+
+def test_workers_follow_the_blas_threads_numpy_loaded_with():
+    cores = len(os.sched_getaffinity(0))
+    # pcesobol first: the pin takes effect, one worker per core
+    assert worker_count_in_python("import pcesobol, numpy") == cores
+    # numpy first with nothing set: its BLAS runs a thread per core, so the
+    # fits stay in-process rather than compete with it
+    assert worker_count_in_python("import numpy, pcesobol") == 1
+    # numpy first, the user pinned the threads: the pin holds
+    assert worker_count_in_python("import numpy, pcesobol", OMP_NUM_THREADS="1") == cores
+    # the user's two threads a process: half the cores, at least one
+    two = worker_count_in_python("import pcesobol", OPENBLAS_NUM_THREADS="2")
+    assert two == max(1, cores // 2)
+
+
+def test_no_fork_means_in_process_fits(monkeypatch):
+    # Windows: no fork and no affinity call
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert evaluation.worker_count() == 1
+    # model rows still use a pool, on the platform's default start method
+    contexts = []
+
+    class RecordingPool(evaluation.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, mp_context=None):
+            contexts.append(mp_context)
+            super().__init__(max_workers=max_workers, mp_context=mp_context)
+
+    monkeypatch.setattr(evaluation, "ProcessPoolExecutor", RecordingPool)
+    points = np.array([[1.0], [3.0]])
+    assert list(evaluate_rows(double_unless_negative, points, workers=2)) == [
+        (0, 2.0, ""),
+        (1, 6.0, ""),
+    ]
+    assert contexts == [None]
+
+
+def test_macos_fits_run_in_process(monkeypatch):
+    # fork exists there, but CPython holds it unsafe
+    monkeypatch.setattr(sys, "platform", "darwin")
+    assert evaluation.worker_count() == 1

@@ -7,12 +7,13 @@ unused-import and dead-code rules.  Package ``__init__`` files are skipped
 by the import rule: their imports are the public re-exports.  A private
 name stays in its module: no module imports another's ``_name``.
 Process pools are built in ``evaluation.py`` alone, so every map over
-workers goes through ``map_jobs``.  Importing the package loads no more of
-scipy than it calls, and pins each BLAS thread variable the user left
-unset to one thread.
+workers goes through its one pool constructor.  Importing the package
+loads no more of scipy than it calls, and pins each BLAS thread variable
+the user left unset to one thread: the variables perfbench pins.
 """
 
 import ast
+import importlib.util
 import os
 import subprocess
 import sys
@@ -141,21 +142,22 @@ def test_import_does_not_load_scipy_stats():
     assert _run_python(code) == "[]"
 
 
-THREAD_VARS = (
-    "OMP_NUM_THREADS",
-    "OPENBLAS_NUM_THREADS",
-    "MKL_NUM_THREADS",
-    "BLIS_NUM_THREADS",
-    "VECLIB_MAXIMUM_THREADS",
-    "NUMEXPR_NUM_THREADS",
-)
+def _bench_thread_vars():
+    path = PACKAGE.parent.parent / "perfbench" / "benchenv.py"
+    spec = importlib.util.spec_from_file_location("benchenv", path)
+    benchenv = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(benchenv)
+    return benchenv.THREAD_VARS
 
 
 def test_import_pins_unset_blas_threads():
-    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
+    env = {k: v for k, v in os.environ.items() if not k.endswith("_THREADS")}
     env["OPENBLAS_NUM_THREADS"] = "3"  # the user's setting is kept
     code = (
-        "import os, sys, pcesobol; "
-        f"print(' '.join(os.environ.get(v, '-') for v in {THREAD_VARS!r}))"
+        "import os, pcesobol; from pcesobol.evaluation import THREAD_VARS; "
+        "print(' '.join(sorted(f'{v}={os.environ.get(v)}' for v in THREAD_VARS)))"
     )
-    assert _run_python(code, env) == "1 3 1 1 1 1"
+    expected = sorted(
+        f"{v}={'3' if v == 'OPENBLAS_NUM_THREADS' else '1'}" for v in _bench_thread_vars()
+    )
+    assert _run_python(code, env) == " ".join(expected)

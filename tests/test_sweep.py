@@ -4,6 +4,8 @@ The worker count is forced through ``regression.worker_count``, the
 helper the sweep reads: 1 runs the lazy in-process sweep, 2 the pool.
 """
 
+import multiprocessing
+import time
 from pathlib import Path
 
 import numpy as np
@@ -70,24 +72,69 @@ def test_screening_sweep_same_on_pool(on_workers):
     assert fingerprint(pooled) == fingerprint(serial)
 
 
-def test_early_stop_same_on_pool(on_workers, monkeypatch):
-    rv = unit_rv(2)
-    design = lhs(50, rv, seed=9)
-    y = design.points[:, 0]  # linear truth: no degree beyond 1 helps
-    fit, calls = regression.hybrid_fit, []
+def counting(monkeypatch, log, fail_at=None):
+    """Log the degree of every ``hybrid_fit`` call to the file ``log``, from
+    this process or a forked worker; raise ValueError at ``fail_at``."""
+    fit = regression.hybrid_fit
 
     def counted(candidate, *args, **kwargs):
-        calls.append(candidate.p)
+        with open(log, "a") as fh:
+            fh.write(f"{candidate.p}\n")
+        if candidate.p == fail_at:
+            raise ValueError(f"broken at p {fail_at}")
         return fit(candidate, *args, **kwargs)
 
     monkeypatch.setattr(regression, "hybrid_fit", counted)
+    return lambda: [int(p) for p in log.read_text().split()] if log.exists() else []
+
+
+def test_early_stop_same_on_pool(on_workers, monkeypatch, tmp_path):
+    rv = unit_rv(2)
+    design = lhs(50, rv, seed=9)
+    y = design.points[:, 0]  # linear truth: no degree beyond 1 helps
+    serial_calls = counting(monkeypatch, tmp_path / "serial")
     serial = on_workers(1, adaptive_fit, design, y, rv, range(1, 12), q=1.0)
     # one worker: no pool, and no degree past the stop is fitted
     assert on_workers.pools == []
-    assert calls == [row["p"] for row in serial[1].rows] == [1, 2, 3, 4]
+    assert serial_calls() == [row["p"] for row in serial[1].rows] == [1, 2, 3, 4]
+    pool_calls = counting(monkeypatch, tmp_path / "pool")
     pooled = on_workers(2, adaptive_fit, design, y, rv, range(1, 12), q=1.0)
     assert on_workers.pools == [2]
     assert fingerprint(pooled) == fingerprint(serial)
+    # two workers: at most two degrees past the stop
+    assert {1, 2, 3, 4} <= set(pool_calls()) <= {1, 2, 3, 4, 5, 6}
+    assert len(pool_calls()) == len(set(pool_calls()))
+
+
+def test_error_past_the_stop_is_dropped_on_pool(on_workers, monkeypatch, tmp_path):
+    rv = unit_rv(2)
+    design = lhs(50, rv, seed=9)
+    y = design.points[:, 0]  # the sweep stops at p 4
+    serial = on_workers(1, adaptive_fit, design, y, rv, range(1, 12), q=1.0)
+    calls = counting(monkeypatch, tmp_path / "pool", fail_at=6)
+    pooled = on_workers(2, adaptive_fit, design, y, rv, range(1, 12), q=1.0)
+    assert 6 in calls()  # started first, as the longest fit in reach
+    assert fingerprint(pooled) == fingerprint(serial)
+
+
+def test_fits_past_the_stop_are_ended_not_awaited(on_workers, monkeypatch):
+    rv = unit_rv(2)
+    design = lhs(50, rv, seed=9)
+    y = design.points[:, 0]  # the sweep stops at p 4
+    serial = on_workers(1, adaptive_fit, design, y, rv, range(1, 12), q=1.0)
+    fit = regression.hybrid_fit
+
+    def slow_p6(candidate, *args, **kwargs):
+        if candidate.p == 6:
+            time.sleep(120)
+        return fit(candidate, *args, **kwargs)
+
+    monkeypatch.setattr(regression, "hybrid_fit", slow_p6)
+    start = time.perf_counter()
+    pooled = on_workers(2, adaptive_fit, design, y, rv, range(1, 12), q=1.0)
+    assert time.perf_counter() - start < 60
+    assert fingerprint(pooled) == fingerprint(serial)
+    assert multiprocessing.active_children() == []
 
 
 def test_failed_degree_keeps_its_row_on_pool(on_workers, monkeypatch):
