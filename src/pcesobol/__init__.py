@@ -4,7 +4,14 @@ Build sparse chaos expansions of black-box models from Latin hypercube
 designs, then read the full ladder of Sobol' indices, error estimates and
 univariate effects straight off the coefficients.  A coarse-grid layered
 aquifer model (steady flow plus mean lifetime expectancy) ships as the
-bundled high-dimensional demonstration black box.
+bundled high-dimensional demonstration black box, in the ``pcesobol.aquifer``
+subpackage: ``from pcesobol import aquifer`` loads it, ``import pcesobol``
+does not.
+
+The path from design to fit to indices needs numpy alone.  scipy serves
+the aquifer model and the Gaussian ``Marginal.cdf`` and ``ppf``, and is
+loaded when one of them is first used, so a process that only fits never
+pays for it.
 
 Importing the package sets each BLAS and OpenMP thread-count variable the
 user has not set to 1 (see ``evaluation``).  A degree sweep's fits run on
@@ -55,7 +62,6 @@ from .sensitivity import (
     total_variance,
     univariate_effect,
 )
-from . import aquifer
 
 __version__ = "0.1.0"
 

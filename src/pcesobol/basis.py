@@ -202,13 +202,14 @@ def eval_basis_matrix(mset: MultiIndexSet, u_points, families) -> np.ndarray:
         raise ValueError(f"points have dimension {u.shape[1]}, basis has {mset.m}")
     if len(families) != mset.m:
         raise ValueError("one polynomial family is needed per coordinate")
-    max_deg = mset.degrees.max(axis=0)
-    tables = [
-        eval_orthonormal_all(fam, int(max_deg[j]), u[:, j])
-        for j, fam in enumerate(families)
-    ]
+    degrees = mset.degrees
+    max_deg = degrees.max(axis=0)
     out = np.ones((u.shape[0], len(mset)))
-    for k, row in enumerate(mset.degrees):
-        for j in np.nonzero(row)[0]:
-            out[:, k] *= tables[j][:, row[j]]
+    # coordinate by coordinate: each column takes its factors in ascending
+    # coordinate order, which ``MultiIndexSet.factors`` relies on
+    for j, fam in enumerate(families):
+        table = eval_orthonormal_all(fam, int(max_deg[j]), u[:, j])
+        rows = np.flatnonzero(degrees[:, j])
+        if rows.size:
+            out[:, rows] *= table[:, degrees[rows, j]]
     return out

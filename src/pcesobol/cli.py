@@ -33,7 +33,6 @@ from .probability import Marginal, RandomVector
 from .sampling import ExperimentalDesign, lhs, nested_lhs_enrich, write_csv
 from .regression import SparsePce, adaptive_fit, generalization_error
 from .sensitivity import repeated_subsample_study, sobol_report, univariate_effect
-from . import aquifer
 
 _CONFIG_DEFAULTS = {
     "output_dir": "pcesobol-out",
@@ -155,6 +154,8 @@ def _validate_config(cfg) -> None:
 
 def _random_vector(spec) -> RandomVector:
     if spec == "demo":
+        from . import aquifer
+
         return aquifer.random_vector(aquifer.default_model())
     if not isinstance(spec, list):
         raise ConfigError("random_vector must be 'demo' or a list of marginals")
@@ -323,6 +324,8 @@ def cmd_evaluate(cfg, design_path, out: Path) -> Path:
     """
     model = cfg["model"]
     if model["kind"] == "demo":
+        from . import aquifer
+
         names = aquifer.parameter_names(aquifer.default_model())
         design = _load_design(design_path, names)
     else:
@@ -547,6 +550,8 @@ def cmd_study(cfg, design_path, responses_path, out: Path) -> Path:
 
 def cmd_demo(out: Path) -> None:
     """Nominal run of the bundled cross-section, with field export."""
+    from . import aquifer
+
     model = aquifer.default_model()
     params = aquifer.nominal_parameters(model)
     mp = aquifer.ModelParameters.from_vector(model, params)

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 UNIFORM = "uniform"
 GAUSSIAN = "gaussian"
@@ -92,12 +91,16 @@ class Marginal:
         x = np.asarray(x, dtype=float)
         if self.kind == UNIFORM:
             return np.clip((x - self.a) / (self.b - self.a), 0.0, 1.0)
+        from scipy.special import ndtr  # loaded on first use: fits never call it
+
         return ndtr((x - self.a) / self.b)
 
     def ppf(self, p):
         p = np.asarray(p, dtype=float)
         if self.kind == UNIFORM:
             return self.a + p * (self.b - self.a)
+        from scipy.special import ndtri  # loaded on first use: fits never call it
+
         return ndtri(p) * self.b + self.a
 
     def in_support(self, x):

@@ -9,7 +9,10 @@ tuned: model size along the path plays its role.
 Both jobs run in one pass over one thin QR of ``[1, psi_order...]``: each
 LAR pick is orthogonalized once by a column-append step that also checks
 and scores the prefix it completes, and the QR yields the next equiangular
-direction, so no Gram matrix is formed or factored.  The basis matrix
+direction, so no Gram matrix is formed or factored.  The QR keeps R^-1,
+not R: the correction term and the equiangular direction read it, and the
+best prefix's coefficients are R^-1 Q^T y, so no triangular solve runs
+either.  The basis matrix
 ``psi`` is never centered: the correlations follow the LARS update, with
 one product ``psi^T v`` per step.  The path reads ``psi`` only through
 that product, the columns it picks and the centered column norms, and it
@@ -57,14 +60,12 @@ sweep table are the same.
 from __future__ import annotations
 
 import json
+import math
 from contextlib import closing
 from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
-from scipy.linalg import solve_triangular
-# not called here: perfbench's trace plan counts calls through this name
-from scipy.linalg import cho_factor  # noqa: F401
 
 from .basis import MultiIndexSet, enumerate_hyperbolic, eval_basis_matrix
 from .evaluation import map_scheduled, worker_count
@@ -76,6 +77,9 @@ _FACTOR_RATIO = 8       # fewest multi-input columns per factor column run facto
 _PATIENCE = 100         # picks without a new best corrected LOO that end the path
 _COND_LIMIT = 1e12      # condition estimate above which a prefix is skipped
 _LEVERAGE_TOL = 1e-10   # h_i >= 1 - tol means the fit memorizes point i
+
+# not called here: perfbench's trace plan counts calls through this name
+cho_factor = None
 
 ORIGINAL = "original"
 LOG = "log"
@@ -303,11 +307,12 @@ class _ThinQr:
     """Thin QR of a growing set of columns, with the OLS fit of ``y`` on it.
 
     ``append`` orthogonalizes one more column (classical Gram-Schmidt,
-    applied twice), updates the leverages, the residuals and
+    applied twice), updates the leverages, the residuals, R^-1 and
     tr((Psi^T Psi)^-1), the squared Frobenius norm of R^-1, in O(N k), and
     checks and scores the prefix it completes.  Leverage only grows and
     conditioning only worsens along nested column sets, so a refused
-    column or model ends every extension.
+    column or model ends every extension.  R itself is not kept: the OLS
+    coefficients on the first k columns are ``r_inv[:k, :k] @ qty[:k]``.
     """
 
     def __init__(self, y, max_cols):
@@ -316,7 +321,6 @@ class _ThinQr:
         self.zero_floor = _zero_floor(y)
         self.var = float(np.var(y, ddof=1)) if n > 1 else 0.0
         self.qt = np.empty((max_cols, n))  # row k is orthonormal column k
-        self.r = np.zeros((max_cols, max_cols))
         self.r_inv = np.zeros((max_cols, max_cols))
         self.qty = np.empty(max_cols)
         self.h = np.zeros(n)
@@ -334,8 +338,8 @@ class _ThinQr:
         extra = qt @ w
         w -= extra @ qt
         head += extra
-        rho = float(np.linalg.norm(w))
-        if rho <= 1e-13 * max(float(np.linalg.norm(v)), 1.0):
+        rho = math.sqrt(w @ w)
+        if rho <= 1e-13 * max(math.sqrt(v @ v), 1.0):
             raise _Degenerate("design matrix is rank deficient")
         rd_min, rd_max = min(self.rd_min, rho), max(self.rd_max, rho)
         if rd_max / rd_min > _COND_LIMIT:
@@ -343,8 +347,6 @@ class _ThinQr:
         self.rd_min, self.rd_max = rd_min, rd_max
         q = w / rho
         self.qt[k] = q
-        self.r[:k, k] = head
-        self.r[k, k] = rho
         new_col = -self.r_inv[:k, :k] @ head / rho
         self.r_inv[:k, k] = new_col
         self.r_inv[k, k] = 1.0 / rho
@@ -353,7 +355,7 @@ class _ThinQr:
         self.h += q**2
         self.resid -= q * self.qty[k]
         self.k = k + 1
-        if np.any(self.h >= 1.0 - _LEVERAGE_TOL):
+        if self.h.max() >= 1.0 - _LEVERAGE_TOL:
             raise _Degenerate(
                 "saturated leverage: the model memorizes at least one point"
             )
@@ -369,7 +371,8 @@ class _ThinQr:
 
     def loo(self, resid) -> float:
         """Relative LOO error of residuals ``resid`` under these leverages."""
-        err_abs = float(np.mean((resid / (1.0 - self.h)) ** 2))
+        e = resid / (1.0 - self.h)
+        err_abs = float(np.add.reduce(e * e) / e.shape[0])
         if err_abs <= self.zero_floor:
             return 0.0
         if self.var <= 0.0:
@@ -516,52 +519,56 @@ def _hybrid_path(basis: _Basis, y) -> _HybridPath:
     norms[~inactive] = 1.0
 
     qr = _ThinQr(y, min(basis.n, int(np.count_nonzero(inactive)) + 1))
-    active: list[int] = []  # columns of psi[:, 1:], in inclusion order
+    # columns of psi[:, 1:] in inclusion order: active[:k] after k picks
+    active = np.empty(qr.qt.shape[0], dtype=np.intp)
+    k = 0
     best_k, best = None, (np.inf, np.inf)
     path_end = "candidates exhausted"
     try:
         best_k, best = 0, qr.append(basis.column(0))
         c = basis.t_product(qr.resid)[1:] / norms  # resid: the centered response
-        while np.any(inactive):
-            c_in = np.where(inactive, np.abs(c), -np.inf)
-            j_new = int(np.argmax(c_in))
-            big_c = float(c_in[j_new])
-            if big_c < _CORR_TOL:
-                path_end = "correlation floor"
-                break
-            scored = qr.append(basis.column(j_new + 1))
-            active.append(j_new)
-            inactive[j_new] = False
-            if scored[1] < best[1]:
-                best_k, best = len(active), scored
-            elif len(active) - best_k >= _PATIENCE:
-                path_end = "patience"
-                break
+        with np.errstate(divide="ignore", invalid="ignore"):
+            while np.any(inactive):
+                c_in = np.where(inactive, np.abs(c), -np.inf)
+                j_new = int(np.argmax(c_in))
+                big_c = float(c_in[j_new])
+                if big_c < _CORR_TOL:
+                    path_end = "correlation floor"
+                    break
+                scored = qr.append(basis.column(j_new + 1))
+                active[k] = j_new
+                k += 1
+                inactive[j_new] = False
+                if scored[1] < best[1]:
+                    best_k, best = k, scored
+                elif k - best_k >= _PATIENCE:
+                    path_end = "patience"
+                    break
 
-            k = len(active)
-            signs = np.sign(c[active])
-            signs[signs == 0] = 1.0
-            t = qr.r_inv[1 : k + 1, 1 : k + 1].T @ (norms[active] * signs)
-            a_norm = 1.0 / float(np.linalg.norm(t))
-            u_dir = (t * a_norm) @ qr.qt[1 : k + 1]
-            a = basis.t_product(u_dir)[1:] / norms
-            with np.errstate(divide="ignore", invalid="ignore"):
-                g1 = (big_c - c) / (a_norm - a)
-                g2 = (big_c + c) / (a_norm + a)
-            gammas = np.concatenate([g1[inactive], g2[inactive]])
-            gammas = gammas[np.isfinite(gammas) & (gammas > _CORR_TOL)]
-            if gammas.size == 0:
-                path_end = "no step length" if np.any(inactive) else "candidates exhausted"
-                break
-            c -= float(np.min(gammas)) * a  # the LARS update (Efron et al. 2004)
+                picked = active[:k]
+                signs = np.sign(c[picked])
+                signs[signs == 0] = 1.0
+                t = qr.r_inv[1 : k + 1, 1 : k + 1].T @ (norms[picked] * signs)
+                a_norm = 1.0 / math.sqrt(t @ t)
+                u_dir = (t * a_norm) @ qr.qt[1 : k + 1]
+                a = basis.t_product(u_dir)[1:] / norms
+                c_inact, a_inact = c[inactive], a[inactive]
+                g1 = (big_c - c_inact) / (a_norm - a_inact)
+                g2 = (big_c + c_inact) / (a_norm + a_inact)
+                gammas = np.concatenate([g1, g2])
+                gammas = gammas[np.isfinite(gammas) & (gammas > _CORR_TOL)]
+                if gammas.size == 0:
+                    path_end = "no step length" if np.any(inactive) else "candidates exhausted"
+                    break
+                c -= float(np.min(gammas)) * a  # the LARS update (Efron et al. 2004)
     except _Degenerate as exc:
         path_end = str(exc)
 
+    order = (active[:k] + 1).tolist()
     coeffs = None
     if best_k is not None:
-        k = best_k + 1
-        coeffs = solve_triangular(qr.r[:k, :k], qr.qty[:k], lower=False)
-    order = [j + 1 for j in active]
+        terms = best_k + 1
+        coeffs = qr.r_inv[:terms, :terms] @ qr.qty[:terms]
     return _HybridPath(order, best_k, best[0], best[1], coeffs, path_end, basis.form)
 
 

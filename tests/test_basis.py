@@ -171,6 +171,23 @@ class TestMultiIndexSet:
             MultiIndexSet(np.array([[0, 0], [3, 3]]), p=2, q=1.0)  # over bound
 
 
+def basis_matrix_by_rows(mset, u, families):
+    """``eval_basis_matrix`` as first written: one column at a time, each
+    multiplied by its row's univariate factors in ascending coordinate
+    order."""
+    u = np.atleast_2d(u)
+    max_deg = mset.degrees.max(axis=0)
+    tables = [
+        eval_orthonormal_all(fam, int(max_deg[j]), u[:, j])
+        for j, fam in enumerate(families)
+    ]
+    out = np.ones((u.shape[0], len(mset)))
+    for k, row in enumerate(mset.degrees):
+        for j in np.nonzero(row)[0]:
+            out[:, k] *= tables[j][:, row[j]]
+    return out
+
+
 class TestBasisRows:
     def test_zero_index_only(self):
         mset = enumerate_hyperbolic(3, 0, 1.0)
@@ -210,6 +227,27 @@ class TestBasisRows:
             assert np.allclose(
                 mat[i], eval_basis_matrix(mset, pts[i], ["legendre"] * 3)[0]
             )
+
+    @pytest.mark.parametrize(
+        "families, p, q",
+        [
+            (["legendre"] * 78, 6, 0.5),  # the screening candidate set
+            (["legendre", "hermite", "hermite", "legendre", "hermite"], 7, 0.8),
+        ],
+        ids=["screening", "mixed"],
+    )
+    def test_matrix_equals_row_by_row_oracle(self, families, p, q):
+        rng = np.random.default_rng(14)
+        mset = enumerate_hyperbolic(len(families), p, q)
+        hermite = np.array([f == "hermite" for f in families])
+        u = np.where(
+            hermite,
+            rng.normal(size=(40, len(families))),
+            rng.uniform(-1, 1, size=(40, len(families))),
+        )
+        assert np.array_equal(
+            eval_basis_matrix(mset, u, families), basis_matrix_by_rows(mset, u, families)
+        )
 
     def test_dimension_mismatch(self):
         mset = enumerate_hyperbolic(3, 2, 1.0)

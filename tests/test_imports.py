@@ -8,12 +8,17 @@ by the import rule: their imports are the public re-exports.  A private
 name stays in its module: no module imports another's ``_name``.
 Process pools are built in ``evaluation.py`` alone, so every map over
 workers goes through its one pool constructor.  Importing the package
-loads no more of scipy than it calls, and pins each BLAS thread variable
-the user left unset to one thread: the variables perfbench pins.
+pins each BLAS thread variable the user left unset to one thread, the
+variables perfbench pins, and loads no scipy module.  The design, fit and
+Sobol' path runs on numpy alone, in the library and in the ``sample``,
+``fit`` and ``sobol`` commands; scipy is loaded where it is called: by the
+aquifer model, and by the Gaussian ``Marginal.cdf`` and ``ppf``, which load
+``scipy.special`` only.
 """
 
 import ast
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -25,8 +30,6 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "pcesobol"
 
 # (module, name) pairs imported on purpose without a use
 ALLOWED = {
-    # perfbench's trace plan counts calls through this name
-    ("regression.py", "cho_factor"),
     # perfbench's trace plan wraps this name
     ("sensitivity.py", "adaptive_fit"),
 }
@@ -140,6 +143,73 @@ def test_import_does_not_load_scipy_stats():
         "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
     )
     assert _run_python(code) == "[]"
+
+
+SCIPY_LOADED = "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+
+
+def test_import_loads_no_scipy():
+    assert _run_python(f"import sys, pcesobol; {SCIPY_LOADED}") == "[]"
+
+
+def test_uniform_subsample_study_loads_no_scipy():
+    code = (
+        "import sys, numpy as np, pcesobol as ps\n"
+        "rv = ps.RandomVector(('a', 'b'), (ps.Marginal.uniform(0, 1),) * 2)\n"
+        "design = ps.lhs(60, rv, 3)\n"
+        "y = np.exp(design.points[:, 0]) + design.points[:, 1] ** 2\n"
+        "study = ps.repeated_subsample_study(\n"
+        "    design, y, rv, subset_size=40, repetitions=2, p_range=range(1, 4))\n"
+        "assert np.all(np.isfinite(study.totals))\n"
+        f"{SCIPY_LOADED}"
+    )
+    assert _run_python(code) == "[]"
+
+
+def test_gaussian_cdf_ppf_load_scipy_special_only():
+    code = (
+        "import sys; from pcesobol import Marginal\n"
+        "m = Marginal.gaussian(1.5, 2.0)\n"
+        "print(m.cdf([-1.0, 1.5, 4.0]).tolist(), m.ppf([0.025, 0.5, 0.9]).tolist())\n"
+        f"{SCIPY_LOADED}"
+    )
+    values, loaded = _run_python(code).splitlines()
+    assert values == (
+        "[0.10564977366685535, 0.5, 0.8943502263331446] "
+        "[-2.419927969080109, 1.5, 4.063103131089201]"
+    )
+    special = _run_python(f"import sys, scipy.special; {SCIPY_LOADED}")
+    assert "'scipy.special'" in loaded
+    assert set(ast.literal_eval(loaded)) <= set(ast.literal_eval(special))
+
+
+def test_cli_fit_stages_load_no_scipy(tmp_path):
+    # sample, fit and sobol on a config whose inputs are not the demo model's
+    config = {
+        "output_dir": str(tmp_path),
+        "random_vector": [
+            {"name": n, "kind": "uniform", "lower": -1.0, "upper": 2.0} for n in "abc"
+        ],
+        "design": {"n": 40, "seed": 5},
+        "fit": {"q": 1.0, "p_range": [1, 3]},
+    }
+    (tmp_path / "run.yaml").write_text(json.dumps(config))  # JSON is YAML
+    code = (
+        "import sys, numpy as np\n"
+        "from pcesobol import ExperimentalDesign\n"
+        "from pcesobol.cli import main\n"
+        f"out, cfg = {str(tmp_path)!r}, {str(tmp_path / 'run.yaml')!r}\n"
+        "assert main(['sample', '--config', cfg]) == 0\n"
+        "x = ExperimentalDesign.from_csv(out + '/design.csv').points\n"
+        "y = x[:, 0] + x[:, 1] * x[:, 2] ** 2\n"
+        "np.savetxt(out + '/y.csv', y, header='response', comments='')\n"
+        "assert main(['fit', '--config', cfg, '--design', out + '/design.csv',\n"
+        "             '--responses', out + '/y.csv']) == 0\n"
+        "assert main(['sobol', '--config', cfg, '--pce', out + '/pce.json']) == 0\n"
+        f"{SCIPY_LOADED}"
+    )
+    assert _run_python(code).splitlines()[-1] == "[]"
+    assert (tmp_path / "sobol_report.json").exists()
 
 
 def _bench_thread_vars():

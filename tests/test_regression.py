@@ -236,6 +236,23 @@ SCREENING_RESPONSES = (
 )
 
 
+def test_screening_coefficients_match_lstsq():
+    # the coefficients come from R^-1 Q^T y; a least-squares solve on the
+    # active columns must agree to well within the fit's conditioning
+    rv = aquifer.random_vector(aquifer.default_model())
+    design = lhs(500, rv, seed=42)
+    y = load_responses_csv(SCREENING_RESPONSES)
+    u = rv.to_standard(design.points)
+    for scale in ("original", "log"):
+        target = np.log(y) if scale == "log" else y
+        for p in range(1, 7):
+            pce = hybrid_fit(enumerate_hyperbolic(rv.m, p, 0.5), design, y, rv, scale)
+            psi = eval_basis_matrix(pce.active_set, u, rv.families)
+            ref = np.linalg.lstsq(psi, target, rcond=None)[0]
+            dev = np.max(np.abs(pce.coefficients - ref)) / np.max(np.abs(ref))
+            assert dev <= 1e-10, (scale, p, dev)
+
+
 def test_screening_sweep_models_pinned():
     # the 12 screening fits (both scales, p 1-6, q 0.5) on the stored
     # responses, pinned to the models chosen when every path ran to its end
