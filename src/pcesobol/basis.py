@@ -210,6 +210,5 @@ def eval_basis_matrix(mset: MultiIndexSet, u_points, families) -> np.ndarray:
     for j, fam in enumerate(families):
         table = eval_orthonormal_all(fam, int(max_deg[j]), u[:, j])
         rows = np.flatnonzero(degrees[:, j])
-        if rows.size:
-            out[:, rows] *= table[:, degrees[rows, j]]
+        out[:, rows] *= table[:, degrees[rows, j]]
     return out
