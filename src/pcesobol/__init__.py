@@ -9,9 +9,10 @@ subpackage: ``from pcesobol import aquifer`` loads it, ``import pcesobol``
 does not.
 
 The path from design to fit to indices needs numpy alone.  scipy serves
-the aquifer model and the Gaussian ``Marginal.cdf`` and ``ppf`` (which the
-LHS calls for Gaussian inputs), and is loaded when one of them is first
-used, so a process that fits over uniform inputs never pays for it.
+the aquifer model's solver and the Gaussian ``Marginal.cdf`` and ``ppf``
+(which the LHS calls for Gaussian inputs), and is loaded when one of them
+is first used, so a process that fits over uniform inputs, the aquifer's
+own included, never pays for it.
 
 Importing the package sets each BLAS and OpenMP thread-count variable the
 user has not set to 1 (see ``evaluation``).  A degree sweep's fits run on

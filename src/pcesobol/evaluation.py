@@ -173,6 +173,9 @@ def evaluate_rows(row_fn, points, workers):
 
     A row that raises gives NaN and its message; the other rows still run.
     The rows go through ``map_jobs`` on ``workers`` processes, so with more
-    than one worker ``row_fn`` must pickle by name.
+    than one worker ``row_fn`` must pickle by name.  Forked workers inherit
+    the modules this process has loaded: resolving ``row_fn`` before the map,
+    as ``aquifer.evaluate`` is resolved, loads its imports once here rather
+    than once in each worker.
     """
     yield from map_jobs(partial(_run_row, row_fn), enumerate(points), workers)

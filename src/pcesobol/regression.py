@@ -23,9 +23,13 @@ holds ``psi`` in one of two forms:
   parent column (the term without its last nonzero degree) times its last
   column (that degree alone), bit for bit, so any other column is made on
   demand, and ``psi^T v`` over those columns is read off one small product
-  ``(psi_parents * v)^T psi_lasts``.  On the 78-input screening set at
-  p = 6, q = 0.5 and 500 points, that is 469 of 9478 columns: 1.8 MiB
-  instead of 36.2 MiB.
+  ``(psi_firsts * v)^T psi_seconds``: each column's first and second
+  factor are its parent and last, or its lower and higher held column,
+  whichever grouping makes the product smaller.  On the 78-input
+  screening set at p = 6, q = 0.5 and 500 points, that is 469 of 9478
+  columns, 1.8 MiB instead of 36.2 MiB, and a 78 x 155 product where
+  parents and lasts give 154 x 154, since each pair term's degree-1
+  factor comes first.
 * *dense*: the whole matrix, and the plain ``psi^T v``.
 
 A fit holds its basis factored when its candidate set holds every parent
@@ -450,7 +454,10 @@ class _FactoredBasis(_Basis):
     times the constant column, which is exact, or the parent column times
     the last column, which ``factors`` guarantees is ``psi[:, j]`` bit for
     bit.  ``psi^T v`` over the multi-input columns is read off one small
-    product ``(psi_parents * v)^T psi_lasts``.
+    product ``(psi_firsts * v)^T psi_seconds``, where each column's first
+    and second factor are its parent and last, or its lower and higher held
+    column, whichever grouping gives the fewer entries.  The grouping reads
+    the candidate set alone; the columns do not depend on it.
     """
 
     form = "factored"
@@ -466,22 +473,35 @@ class _FactoredBasis(_Basis):
         self.right = np.zeros(self.size, dtype=np.intp)
         self.left[self.multi] = at[parent[self.multi]]
         self.right[self.multi] = at[last[self.multi]]
-        parents, p_of = np.unique(self.left[self.multi], return_inverse=True)
-        lasts, l_of = np.unique(self.right[self.multi], return_inverse=True)
-        self.parents_t = np.ascontiguousarray(held[:, parents].T)
-        self.lasts = np.ascontiguousarray(held[:, lasts])
-        self.flat = p_of * len(lasts) + l_of
+        left, right = self.left[self.multi], self.right[self.multi]
+        # a column's two held columns multiply in either order: group each
+        # column under the lower one where that gives the smaller product
+        firsts, seconds, self.flat = min(
+            _grouped(left, right),
+            _grouped(np.minimum(left, right), np.maximum(left, right)),
+            key=lambda g: len(g[0]) * len(g[1]),
+        )
+        self.firsts_t = np.ascontiguousarray(held[:, firsts].T)
+        self.seconds = np.ascontiguousarray(held[:, seconds])
 
     def t_product(self, v) -> np.ndarray:
         out = np.empty(self.size)
         out[self.rows] = v @ self.held
-        out[self.multi] = ((self.parents_t * v) @ self.lasts).ravel()[self.flat]
+        out[self.multi] = ((self.firsts_t * v) @ self.seconds).ravel()[self.flat]
         return out
 
     def columns(self, lo, hi) -> np.ndarray:
         left, right = self.left[lo:hi], self.right[lo:hi]
         out = np.empty((self.n, len(left)))
         return np.multiply(self.held[:, left], self.held[:, right], out=out)
+
+
+def _grouped(a, b):
+    """Distinct ``a`` and ``b`` values, and each pair's place in their
+    ``len(a_values) x len(b_values)`` grid, flattened."""
+    a_values, a_of = np.unique(a, return_inverse=True)
+    b_values, b_of = np.unique(b, return_inverse=True)
+    return a_values, b_values, a_of * len(b_values) + b_of
 
 
 def _candidate_basis(candidate: MultiIndexSet, u, families) -> _Basis:

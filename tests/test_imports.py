@@ -11,9 +11,10 @@ workers goes through its one pool constructor.  Importing the package
 pins each BLAS thread variable the user left unset to one thread, the
 variables perfbench pins, and loads no scipy module.  Over uniform inputs
 the design, fit and Sobol' path runs on numpy alone, in the library and in
-the ``sample``, ``fit`` and ``sobol`` commands; scipy is loaded where it is
-called: by the aquifer model, and by the Gaussian ``Marginal.cdf`` and
-``ppf``, which load ``scipy.special`` only.
+the ``sample``, ``fit`` and ``sobol`` commands, the demo model's config
+included; scipy is loaded where it is called: by the aquifer solver, which
+``pcesobol.aquifer`` serves on first use of one of its names, and by the
+Gaussian ``Marginal.cdf`` and ``ppf``, which load ``scipy.special`` only.
 """
 
 import ast
@@ -175,15 +176,13 @@ def test_gaussian_cdf_ppf_load_scipy_special_only():
     assert set(ast.literal_eval(loaded)) <= set(ast.literal_eval(special))
 
 
-def test_cli_fit_stages_load_no_scipy(tmp_path):
-    # sample, fit and sobol on a config whose inputs are not the demo model's
+def _cli_fit_stages_scipy(tmp_path, random_vector, p_range):
+    """sample, fit and sobol on a config; the scipy modules they loaded."""
     config = {
         "output_dir": str(tmp_path),
-        "random_vector": [
-            {"name": n, "kind": "uniform", "lower": -1.0, "upper": 2.0} for n in "abc"
-        ],
+        "random_vector": random_vector,
         "design": {"n": 40, "seed": 5},
-        "fit": {"q": 1.0, "p_range": [1, 3]},
+        "fit": {"q": 1.0, "p_range": p_range},
     }
     (tmp_path / "run.yaml").write_text(json.dumps(config))  # JSON is YAML
     code = (
@@ -200,8 +199,61 @@ def test_cli_fit_stages_load_no_scipy(tmp_path):
         "assert main(['sobol', '--config', cfg, '--pce', out + '/pce.json']) == 0\n"
         f"{SCIPY_LOADED}"
     )
-    assert _run_python(code).splitlines()[-1] == "[]"
+    loaded = _run_python(code).splitlines()[-1]
     assert (tmp_path / "sobol_report.json").exists()
+    return loaded
+
+
+def test_cli_fit_stages_load_no_scipy(tmp_path):
+    # a config whose inputs are not the demo model's
+    uniforms = [
+        {"name": n, "kind": "uniform", "lower": -1.0, "upper": 2.0} for n in "abc"
+    ]
+    assert _cli_fit_stages_scipy(tmp_path, uniforms, [1, 3]) == "[]"
+
+
+def test_demo_config_fit_stages_load_no_scipy(tmp_path):
+    # the aquifer's 78 inputs: the stages read its random vector, not its solver
+    assert _cli_fit_stages_scipy(tmp_path, "demo", [1, 2]) == "[]"
+
+
+def test_aquifer_loads_scipy_on_first_model_use():
+    code = (
+        "import sys; from pcesobol import aquifer\n"
+        "rv = aquifer.random_vector(aquifer.default_model())\n"
+        "assert rv.m == 78\n"
+        f"{SCIPY_LOADED}\n"
+        "aquifer.evaluate\n"
+        f"{SCIPY_LOADED}"
+    )
+    before, after = _run_python(code).splitlines()
+    assert before == "[]"
+    assert "scipy.sparse" in ast.literal_eval(after)
+
+
+def test_aquifer_serves_every_solver_name():
+    from pcesobol import aquifer
+    from pcesobol.aquifer import model, solver
+
+    init = PACKAGE / "aquifer" / "__init__.py"
+    eager = {
+        alias.name
+        for node in ast.parse(init.read_text()).body
+        if isinstance(node, ast.ImportFrom) and node.module == "model"
+        for alias in node.names
+    }
+    lazy = set(aquifer._SOLVER_NAMES)
+    assert sorted(aquifer.__all__) == sorted(eager | lazy)
+    # every public name solver defines, so a new one cannot be left out
+    assert lazy == {
+        name
+        for name, value in vars(solver).items()
+        if not name.startswith("_") and getattr(value, "__module__", None) == solver.__name__
+    }
+    for name in aquifer.__all__:
+        source = solver if name in lazy else model
+        assert getattr(aquifer, name) is getattr(source, name), name
+    assert set(aquifer.__all__) <= set(dir(aquifer))
 
 
 def _bench_thread_vars():

@@ -328,6 +328,20 @@ class TestFactoredProduct:
         assert basis.rows.tolist() == held.tolist()
         assert basis.held.shape == (8, 1 + 90 + 406)
 
+    def test_product_takes_the_smaller_grouping(self):
+        products = {}
+        for m, p, q in self.FACTORED_SETS:
+            mset = enumerate_hyperbolic(m, p, q)
+            parent, last = mset.factors()
+            multi = parent > 0
+            by_parent = len(np.unique(parent[multi])) * len(np.unique(last[multi]))
+            basis, _ = self.both_forms(mset, 8, 37)
+            products[m, p, q] = (basis.firsts_t.shape[0], basis.seconds.shape[1]), by_parent
+        # each screening pair term is grouped under its degree-1 factor
+        assert products[78, 6, 0.5] == ((78, 155), 154 * 154)
+        (rows, cols), by_parent = products[30, 3, 1.0]
+        assert rows * cols <= by_parent
+
     def test_chosen_from_the_candidate_set(self):
         def form(mset):
             u = np.zeros((5, mset.m))
