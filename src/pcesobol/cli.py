@@ -210,6 +210,7 @@ def _write_json(path, doc) -> None:
 
 
 def cmd_sample(cfg, out: Path) -> list:
+    out = Path(out)
     rv = cfg["_random_vector"]
     design_cfg = cfg["design"]
     design = lhs(design_cfg["n"], rv, design_cfg["seed"])
@@ -322,6 +323,7 @@ def cmd_evaluate(cfg, design_path, out: Path) -> Path:
     at the end.  Rows of either model kind run through ``evaluate_rows``
     on ``model.workers`` processes.
     """
+    out = Path(out)
     model = cfg["model"]
     if model["kind"] == "demo":
         from . import aquifer
@@ -376,6 +378,7 @@ def cmd_fit(
     *,
     out: Path,
 ) -> Path:
+    out = Path(out)
     rv = cfg["_random_vector"]
     design = _load_design(design_path, rv.names, responses_path)
     fit_cfg = cfg["fit"]
@@ -435,6 +438,7 @@ def _auto_grouping(names):
 
 
 def cmd_sobol(cfg, pce_path, grouping_path=None, *, out: Path) -> list:
+    out = Path(out)
     pce_bytes = Path(pce_path).read_bytes()
     pce = SparsePce.from_dict(json.loads(pce_bytes))
     scfg = cfg["sobol"]
@@ -521,6 +525,7 @@ def cmd_sobol(cfg, pce_path, grouping_path=None, *, out: Path) -> list:
 
 
 def cmd_study(cfg, design_path, responses_path, out: Path) -> Path:
+    out = Path(out)
     rv = cfg["_random_vector"]
     design = _load_design(design_path, rv.names, responses_path)
     scfg = cfg["study"]
@@ -552,6 +557,7 @@ def cmd_demo(out: Path) -> None:
     """Nominal run of the bundled cross-section, with field export."""
     from . import aquifer
 
+    out = Path(out)
     model = aquifer.default_model()
     params = aquifer.nominal_parameters(model)
     mp = aquifer.ModelParameters.from_vector(model, params)

@@ -1,16 +1,12 @@
 """Run jobs in this process or on workers: model rows, and fits.
 
-Two maps share the package's one pool constructor, ``_pool``.
-``map_jobs`` maps a function over a list of jobs and yields the results
-in job order; model rows go through it (``evaluate_rows``).  It runs the
-jobs in this process on one worker, and inside a daemonic process, which
-may not start children.  ``map_scheduled`` runs the jobs a caller hands
-out as workers free up and yields each one's future as it finishes, so
-the caller can decide what to start next from what has finished; the
-fits of a degree sweep go through it (``regression.adaptive_fit_draws``),
-which runs its fits in this process itself where ``worker_count()`` is 1.
-On a pool the jobs go to a ``ProcessPoolExecutor`` one at a time.  Its
-workers are forked where the platform forks safely: a fork pool of 2
+``map_scheduled`` is the package's one job map: it runs the jobs a
+caller hands out as workers free up and yields each one's future as it
+finishes.  Model rows (``evaluate_rows``) and the fits of a degree sweep
+(``regression.adaptive_fit_draws``) go through it.  On one worker, and
+inside a daemonic process, which may not start children, each job runs
+in this process.  On more, the jobs go to a ``ProcessPoolExecutor`` one
+at a time, forked where the platform forks safely: a fork pool of 2
 starts in about 20 ms, where a spawned worker would spend about 0.5 s
 importing the package again.  Elsewhere (Windows, macOS) the pool uses
 the platform's default start method.
@@ -33,7 +29,8 @@ import multiprocessing
 import os
 import signal
 import sys
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
+from contextlib import closing
 from functools import partial
 
 THREAD_VARS = (
@@ -86,11 +83,6 @@ def _forks() -> bool:
     return sys.platform != "darwin" and "fork" in multiprocessing.get_all_start_methods()
 
 
-def _pool(workers, **options):
-    context = multiprocessing.get_context("fork") if _forks() else None
-    return ProcessPoolExecutor(max_workers=workers, mp_context=context, **options)
-
-
 def _announce(pids):
     pids.put(os.getpid())
 
@@ -104,41 +96,37 @@ def worker_count() -> int:
     return max(1, _cores() // _BLAS_THREADS)
 
 
-def map_jobs(fn, jobs, workers):
-    """Yield ``fn(job)`` for each job, in job order.
-
-    With ``workers > 1`` and more than one job, outside a daemonic process,
-    the jobs go to the pool one at a time, so ``fn`` must pickle by name
-    and the jobs and results must pickle.  An exception ``fn`` raises
-    reaches the caller at that job's place in the order.
-    """
-    jobs = list(jobs)
-    if workers <= 1 or len(jobs) <= 1 or multiprocessing.current_process().daemon:
-        yield from map(fn, jobs)
-        return
-    with _pool(workers) as pool:
-        yield from pool.map(fn, jobs, chunksize=1)
-
-
 def map_scheduled(fn, next_job, workers):
-    """Run ``fn`` on a pool of ``workers`` processes over the jobs
-    ``next_job()`` hands out; yield ``(key, future)`` as each finishes.
+    """Run ``fn`` over the jobs ``next_job()`` hands out, on ``workers``
+    processes; yield ``(key, future)`` as each finishes.
 
     ``next_job()`` returns ``(key, job)``, or None when nothing is to start
-    until a running job finishes; it is called until the pool holds two
-    jobs a worker, and again whenever one finishes, after the caller has
-    taken every future yielded so far.  The map ends
-    when nothing runs and ``next_job()`` returns None.  A caller that needs
-    no more results closes the map (``contextlib.closing``), which ends the
-    jobs still running at once rather than wait for them.  The caller
-    reads each job's result, or meets its exception, through its future,
-    and may leave unread a result it turns out not to need.  Jobs pickle
-    as for ``map_jobs``.  A caller that would run one worker, or runs in a
-    daemonic process, calls ``fn`` itself instead (``worker_count``).
+    until a running job finishes; it is called until two jobs a worker
+    run, and again whenever one finishes, after the caller has taken every
+    future yielded so far.  The map ends when nothing runs and
+    ``next_job()`` returns None.  The caller reads each result, or meets
+    its exception, through its future, and may leave it unread.  On one
+    worker, or in a daemonic process, each job runs here and its future
+    comes done.  On a pool, ``fn`` must pickle by name, the jobs and
+    results must pickle, and closing the map (``contextlib.closing``) ends
+    the jobs still running rather than wait for them.
     """
+    if workers <= 1 or multiprocessing.current_process().daemon:
+        while (handed := next_job()) is not None:
+            key, job = handed
+            future = Future()
+            try:
+                future.set_result(fn(job))
+            except Exception as exc:  # the caller meets it through the future
+                future.set_exception(exc)
+            yield key, future
+        return
     # each worker reports its process id, so that a closed map can end it
     pids = multiprocessing.SimpleQueue()
-    pool = _pool(workers, initializer=_announce, initargs=(pids,))
+    context = multiprocessing.get_context("fork") if _forks() else None
+    pool = ProcessPoolExecutor(
+        max_workers=workers, mp_context=context, initializer=_announce, initargs=(pids,)
+    )
     running = {}
     try:
         while True:
@@ -160,22 +148,31 @@ def map_scheduled(fn, next_job, workers):
         pids.close()
 
 
-def _run_row(row_fn, job):
-    index, point = job
+def _run_row(row_fn, point):
     try:
-        return index, float(row_fn(point)), ""
+        return float(row_fn(point)), ""
     except Exception as exc:  # recorded per row, the run continues
-        return index, float("nan"), str(exc)
+        return float("nan"), str(exc)
 
 
 def evaluate_rows(row_fn, points, workers):
     """Yield ``(index, value, error)`` of ``row_fn(points[index])`` in row order.
 
     A row that raises gives NaN and its message; the other rows still run.
-    The rows go through ``map_jobs`` on ``workers`` processes, so with more
-    than one worker ``row_fn`` must pickle by name.  Forked workers inherit
-    the modules this process has loaded: resolving ``row_fn`` before the map,
-    as ``aquifer.evaluate`` is resolved, loads its imports once here rather
-    than once in each worker.
+    The rows go through ``map_scheduled`` on ``min(workers, len(points))``
+    processes, so with more than one ``row_fn`` must pickle by name.
+    Forked workers inherit the modules this process has loaded: resolving
+    ``row_fn`` before the map, as ``aquifer.evaluate`` is resolved, loads
+    its imports once here rather than once in each worker.  Closing this
+    generator before its last row ends the rows still running on workers;
+    an external command such a row started is not itself killed.
     """
-    yield from map_jobs(partial(_run_row, row_fn), enumerate(points), workers)
+    next_row = partial(next, enumerate(points), None)
+    workers = min(workers, len(points))
+    done, first = {}, 0  # rows finished ahead of row ``first``, the next to yield
+    with closing(map_scheduled(partial(_run_row, row_fn), next_row, workers)) as finished:
+        for index, future in finished:
+            done[index] = future.result()
+            while first in done:
+                yield first, *done.pop(first)
+                first += 1

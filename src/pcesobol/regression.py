@@ -53,12 +53,11 @@ when the candidates run out; the fit records which.
 
 A degree sweep (``adaptive_fit``, and ``adaptive_fit_draws`` over many
 row draws) runs its fits through ``evaluation.map_scheduled`` on one
-worker per available core; ``taskset -c 0`` runs them serially.  On one
-worker the degrees are fitted in ascending order up to the sweep's stop.
-On more, the highest degrees the sweep is sure to reach start first, and
-at most one degree per worker past those may be started too; such a fit
-is dropped, or ended once the sweep stops, so the selected model and the
-sweep table are the same.
+worker per available core; ``taskset -c 0`` runs them in this process.
+The highest degrees the sweep is sure to reach start first.  On more
+than one worker, at most one degree per worker past those may be started
+too; such a fit is dropped, or ended once the sweep stops, so the
+selected model and the sweep table are the same.
 """
 
 from __future__ import annotations
@@ -67,7 +66,6 @@ import json
 import math
 from contextlib import closing
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -736,18 +734,18 @@ def adaptive_fit_draws(
     """Degree-adaptive fit of each draw, a ``(design, responses)`` pair.
 
     Returns one ``(best_pce, diagnostics)`` per draw, in draw order, each
-    as ``adaptive_fit`` describes.  The fits run on ``worker_count()``
-    workers: one per available core, when each runs one BLAS thread
-    (``taskset -c 0`` runs them serially).  On one worker, each draw's
-    degrees are fitted in ascending order up to the sweep's stop.  On more,
-    each draw's fits go to the pool as workers free up: of the degrees its
-    sweep is sure to reach, plus at most ``workers`` beyond them, the
-    highest not yet started goes first, so the longest fits start at once.
-    A fit past a sweep's stop is dropped, with any error it raised, so the
-    selected models and sweep tables are those of the serial sweep; once
-    every sweep has stopped, such fits still running are ended, not
-    awaited.  A fit the sweep reaches that raises anything other than
-    ``RuntimeError`` or ``LinAlgError`` raises here.
+    as ``adaptive_fit`` describes.  The fits run through ``map_scheduled``
+    on ``worker_count()`` workers: one per available core, when each runs
+    one BLAS thread (``taskset -c 0`` runs them in this process).  Each
+    fit starts as a worker frees up: of the degrees any draw's sweep is
+    sure to reach, plus on more than one worker at most ``workers``
+    beyond them, the highest not yet started goes first, so the longest
+    fits start at once.  On one worker no degree past a sweep's stop is
+    fitted.  On more, such a fit is dropped, with any error it raised, so
+    the selected models and sweep tables are the same; once every sweep
+    has stopped, such fits still running are ended, not awaited.  A fit
+    the sweep reaches that raises anything other than ``RuntimeError`` or
+    ``LinAlgError`` raises here.
     """
     p_list = sorted(set(int(p) for p in p_range))
     if not p_list or p_list[0] < 1:
@@ -755,15 +753,10 @@ def adaptive_fit_draws(
     # input-contract problems would repeat identically at every degree
     draws = [(design, _checked_responses(y, design, scale)) for design, y in draws]
     sweeps = [_Sweep(p_list) for _ in draws]
-    workers = worker_count()
-    if workers <= 1:
-        for (design, y), sweep in zip(draws, sweeps):
-            while not sweep.stopped:
-                job = (design, y, rv, p_list[sweep.walked], q, scale)
-                sweep.add(sweep.walked, partial(_fit_degree, job))
-        return [sweep.result() for sweep in sweeps]
-
     started = [set() for _ in draws]
+    workers = worker_count()
+    # on a pool, a degree a worker past the window keeps every worker busy
+    ahead = workers if workers > 1 else 0
 
     def next_fit():
         # the highest unstarted degree of any draw's window; ties to the first draw
@@ -771,7 +764,7 @@ def adaptive_fit_draws(
         for d, sweep in enumerate(sweeps):
             if sweep.stopped:
                 continue
-            top = min(sweep.reach() + workers, len(p_list) - 1)
+            top = min(sweep.reach() + ahead, len(p_list) - 1)
             index = next((i for i in range(top, -1, -1) if i not in started[d]), -1)
             if pick is None or index > pick[1]:
                 pick = (d, index)
@@ -799,15 +792,16 @@ def adaptive_fit(
 ):
     """Degree-adaptive fit: sweep p, keep the smallest corrected LOO error.
 
-    ``p_range`` is an iterable of candidate maximum degrees, swept in
+    ``p_range`` is an iterable of candidate maximum degrees, walked in
     ascending order.  Once a degree has been fitted, the sweep ends after
     three consecutive degrees without improvement.  Ties go to the smaller
     degree.  A degree whose fit fails keeps a ``failed: ...`` row.
     Returns ``(best_pce, diagnostics)``.
 
     This is ``adaptive_fit_draws`` with one draw: the degrees are fitted on
-    one worker per available core, and on more than one, up to that many
-    degrees past the stop may be fitted too and then dropped, with the
-    same result.
+    one worker per available core, highest first within the degrees the
+    sweep is sure to reach, and on more than one, up to that many degrees
+    past the stop may be fitted too and then dropped, with the same
+    result.
     """
     return adaptive_fit_draws([(design, responses)], rv, p_range, q, scale)[0]

@@ -2,10 +2,12 @@
 
 import math
 
+# pcesobol first: importing it pins the BLAS threads before numpy loads its
+# BLAS, so the session runs one BLAS thread a process and sweeps on a pool
+from pcesobol import Marginal, RandomVector
+
 import numpy as np
 import pytest
-
-from pcesobol import Marginal, RandomVector
 
 
 def ishigami(x, a=7.0, b=0.1):

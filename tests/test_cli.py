@@ -7,7 +7,9 @@ import pytest
 import yaml
 
 from pcesobol import ExperimentalDesign, load_responses_csv
-from pcesobol.cli import ConfigError, _array_digest, journal_header, load_config, main
+from pcesobol.cli import (
+    ConfigError, _array_digest, cmd_fit, journal_header, load_config, main,
+)
 from conftest import ishigami, ishigami_analytic
 
 THREE_UNIFORMS = [
@@ -393,6 +395,15 @@ class TestFit:
         row = doc["provenance"]["sweep"][0]
         assert (row["picks"], row["path_end"]) == (3, "candidates exhausted")
         assert doc["provenance"]["config_sha256"]
+
+    def test_stage_takes_out_as_a_string(self, tmp_path):
+        cfg, design, responses = prepare_ishigami_run(tmp_path, n=40, p_max=2)
+        out = tmp_path / "script"
+        out.mkdir()
+        path = cmd_fit(load_config(cfg), design, responses, out=str(out))
+        assert path == out / "pce.json"
+        doc = json.loads(path.read_text())
+        assert [row["p"] for row in doc["provenance"]["sweep"]] == [1, 2]
 
     def test_fit_and_report_bound_to_their_inputs(self, tmp_path):
         cfg, design, responses = prepare_ishigami_run(tmp_path, n=40, p_max=1)

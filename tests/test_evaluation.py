@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+from contextlib import closing
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +46,16 @@ def test_results_come_back_in_row_order():
     points = np.array([[0.3], [0.2], [0.1], [0.0]])
     results = list(evaluate_rows(sleep_then_echo, points, workers=2))
     assert results == [(i, p, "") for i, p in enumerate([0.3, 0.2, 0.1, 0.0])]
+
+
+def test_closing_early_ends_the_running_rows():
+    # row 1 sleeps 120 s; row 0 is read, then the rows are closed
+    points = np.array([[0.0], [120.0], [0.0]])
+    start = time.perf_counter()
+    with closing(evaluate_rows(sleep_then_echo, points, workers=2)) as rows:
+        assert next(rows) == (0, 0.0, "")
+    assert time.perf_counter() - start < 60
+    assert multiprocessing.active_children() == []
 
 
 def test_pool_equals_serial_aquifer_bit_for_bit():
@@ -118,9 +129,9 @@ def test_no_fork_means_in_process_fits(monkeypatch):
     contexts = []
 
     class RecordingPool(evaluation.ProcessPoolExecutor):
-        def __init__(self, max_workers=None, mp_context=None):
+        def __init__(self, max_workers=None, mp_context=None, **kwargs):
             contexts.append(mp_context)
-            super().__init__(max_workers=max_workers, mp_context=mp_context)
+            super().__init__(max_workers=max_workers, mp_context=mp_context, **kwargs)
 
     monkeypatch.setattr(evaluation, "ProcessPoolExecutor", RecordingPool)
     points = np.array([[1.0], [3.0]])

@@ -1,7 +1,7 @@
 """Degree sweeps on a pool of workers against the same sweeps in-process.
 
 The worker count is forced through ``regression.worker_count``, the
-helper the sweep reads: 1 runs the lazy in-process sweep, 2 the pool.
+helper the sweep reads: 1 runs the sweep in-process, 2 on a pool.
 """
 
 import multiprocessing
@@ -96,7 +96,7 @@ def test_early_stop_same_on_pool(on_workers, monkeypatch, tmp_path):
     serial = on_workers(1, adaptive_fit, design, y, rv, range(1, 12), q=1.0)
     # one worker: no pool, and no degree past the stop is fitted
     assert on_workers.pools == []
-    assert serial_calls() == [row["p"] for row in serial[1].rows] == [1, 2, 3, 4]
+    assert sorted(serial_calls()) == [row["p"] for row in serial[1].rows] == [1, 2, 3, 4]
     pool_calls = counting(monkeypatch, tmp_path / "pool")
     pooled = on_workers(2, adaptive_fit, design, y, rv, range(1, 12), q=1.0)
     assert on_workers.pools == [2]
@@ -156,7 +156,8 @@ def test_failed_degree_keeps_its_row_on_pool(on_workers, monkeypatch):
     assert fingerprint(pooled) == fingerprint(serial)
 
 
-def test_other_errors_in_a_worker_propagate(on_workers, monkeypatch):
+@pytest.mark.parametrize("workers", [1, 2])
+def test_other_errors_in_a_worker_propagate(on_workers, monkeypatch, workers):
     fit = regression.hybrid_fit
 
     def broken_p2(candidate, *args, **kwargs):
@@ -168,8 +169,8 @@ def test_other_errors_in_a_worker_propagate(on_workers, monkeypatch):
     rv = unit_rv(2)
     design = lhs(30, rv, seed=6)
     with pytest.raises(ValueError, match="broken at p 2"):
-        on_workers(2, adaptive_fit, design, design.points[:, 0], rv, [1, 2, 3], q=1.0)
-    assert on_workers.pools == [2]
+        on_workers(workers, adaptive_fit, design, design.points[:, 0], rv, [1, 2, 3], q=1.0)
+    assert on_workers.pools == ([2] if workers == 2 else [])
 
 
 def test_subsample_study_totals_same_on_pool(on_workers, ishigami_rv):
