@@ -41,7 +41,6 @@ from .regression import (
     SparsePce,
     adaptive_fit,
     adaptive_fit_draws,
-    corrected_loo,
     generalization_error,
     hybrid_fit,
     lar_path,
@@ -51,12 +50,9 @@ from .sensitivity import (
     SobolReport,
     SubsampleStudy,
     UnivariateEffect,
-    grouped_sums,
     moments,
     repeated_subsample_study,
-    screen,
     sobol_first,
-    sobol_group,
     sobol_report,
     sobol_second,
     sobol_total,
@@ -79,14 +75,12 @@ __all__ = [
     "adaptive_fit",
     "adaptive_fit_draws",
     "aquifer",
-    "corrected_loo",
     "count_total_degree",
     "enumerate_hyperbolic",
     "eval_basis_matrix",
     "eval_orthonormal_all",
     "evaluate_rows",
     "generalization_error",
-    "grouped_sums",
     "hybrid_fit",
     "lar_path",
     "lhs",
@@ -95,9 +89,7 @@ __all__ = [
     "moments",
     "nested_lhs_enrich",
     "repeated_subsample_study",
-    "screen",
     "sobol_first",
-    "sobol_group",
     "sobol_report",
     "sobol_second",
     "sobol_total",

@@ -416,7 +416,7 @@ def cmd_fit(
             responses_sha256=_array_digest(design.responses).hexdigest(),
             seeds={"design": cfg["design"].get("seed")},
             sweep=diag.rows,
-            selected_p=diag.selected_p,
+            selected_p=pce.degree,
         ),
     )
     print(
@@ -450,17 +450,15 @@ def cmd_sobol(cfg, pce_path, grouping_path=None, *, out: Path) -> list:
         if not isinstance(raw, dict):
             raise ConfigError(f"{grouping_path}: grouping must map variable -> group")
         grouping = {str(k): str(v) for k, v in raw.items()}
-        missing = [n for n in pce.random_vector.names if n not in grouping]
-        if missing:
-            raise ConfigError(
-                f"{grouping_path}: grouping misses variables {missing[:5]}"
-            )
     elif scfg["grouping"] == "auto":
         grouping = _auto_grouping(pce.random_vector.names)
 
-    report = sobol_report(
-        pce, threshold=float(scfg["screening_threshold"]), grouping=grouping
-    )
+    try:
+        report = sobol_report(
+            pce, threshold=float(scfg["screening_threshold"]), grouping=grouping
+        )
+    except ValueError as exc:  # only a grouping file can miss variables
+        raise ConfigError(f"{grouping_path}: {exc}") from exc
     written = []
 
     rpath = out / "sobol_report.json"

@@ -81,12 +81,6 @@ class Marginal:
             return np.clip(2.0 * (x - lo) / span - 1.0, -1.0, 1.0)
         return (x - self.a) / self.b
 
-    def from_standard(self, u):
-        u = np.asarray(u, dtype=float)
-        if self.kind == UNIFORM:
-            return self.a + 0.5 * (u + 1.0) * (self.b - self.a)
-        return self.a + self.b * u
-
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
         if self.kind == UNIFORM:
@@ -158,17 +152,6 @@ class RandomVector:
         out = np.empty_like(pts)
         for j, marg in enumerate(self.marginals):
             out[:, j] = marg.to_standard(pts[:, j])
-        return out[0] if single else out
-
-    def from_standard(self, u):
-        """Inverse of :meth:`to_standard`."""
-        u = np.asarray(u, dtype=float)
-        self._check_dim(u)
-        single = u.ndim == 1
-        pts = np.atleast_2d(u)
-        out = np.empty_like(pts)
-        for j, marg in enumerate(self.marginals):
-            out[:, j] = marg.from_standard(pts[:, j])
         return out[0] if single else out
 
     def in_support(self, x):

@@ -40,8 +40,8 @@ rule reads the candidate set alone, before anything is evaluated, and is
 not a knob.  Either form hands each picked column to the QR as a
 contiguous vector equal to that column of ``psi``, so the active set,
 coefficients and LOO errors are those of ``psi`` in both forms; only
-roundoff in the correlations differs.  ``loo_error`` and ``corrected_loo``
-run the same column-append step.
+roundoff in the correlations differs.  ``loo_error`` runs the same
+column-append step.
 
 Degeneracy handling is explicit: a prefix that loses rank, whose condition
 estimate exceeds 1e12, or whose leverage saturates (some h_i within 1e-10
@@ -213,7 +213,6 @@ class FitDiagnostics:
     """Per-degree sweep table of an adaptive fit."""
 
     rows: list = field(default_factory=list)
-    selected_p: int | None = None
 
     def add(self, p, candidate_size, pce: SparsePce | None = None, status="ok"):
         """One row for degree ``p``; ``pce`` is None when the fit failed."""
@@ -264,20 +263,10 @@ def loo_error(psi, y, coeffs) -> float:
     """
     psi = np.atleast_2d(np.asarray(psi, dtype=float))
     y = np.asarray(y, dtype=float).ravel()
-    qr = _orthogonalize(psi, y)
+    qr = _ThinQr(y, psi.shape[1])
+    for col in psi.T:
+        qr.append(col)
     return qr.loo(y - psi @ np.asarray(coeffs, dtype=float))
-
-
-def corrected_loo(err_loo, psi) -> float:
-    """Finite-sample corrected LOO error of a fit on ``psi`` (N x card(A)).
-
-    Multiplies the LOO error by ``(1 - card(A)/N)^-1 (1 + tr((Psi^T Psi)^-1))``,
-    with the trace taken as the squared Frobenius norm of ``R^-1`` from the
-    fit's thin QR.  Both factors are >= 1.  A design the fit's prefix scan
-    refuses (see ``_ThinQr.append``) raises ``ValueError``.
-    """
-    psi = np.atleast_2d(np.asarray(psi, dtype=float))
-    return float(err_loo) * _orthogonalize(psi, np.zeros(psi.shape[0])).correction()
 
 
 def generalization_error(pce: SparsePce, validation: ExperimentalDesign) -> float:
@@ -380,13 +369,6 @@ class _ThinQr:
         if self.var <= 0.0:
             raise _Degenerate("responses have zero variance but nonzero error")
         return err_abs / self.var
-
-
-def _orthogonalize(psi, y) -> _ThinQr:
-    qr = _ThinQr(y, psi.shape[1])
-    for col in psi.T:
-        qr.append(col)
-    return qr
 
 
 @dataclass
@@ -720,7 +702,6 @@ class _Sweep:
     def result(self):
         if self.best is None:
             raise RuntimeError(f"every degree in the sweep failed: {self.last_error}")
-        self.diag.selected_p = self.best.degree
         return self.best, self.diag
 
 

@@ -93,14 +93,6 @@ def sobol_total(pce: SparsePce) -> np.ndarray:
     return _indices(pce)[1]
 
 
-def sobol_group(pce: SparsePce, u) -> float:
-    """Index of a variable subset: terms supported on exactly that subset."""
-    u = tuple(sorted(set(int(i) for i in u)))
-    if not u:
-        raise ValueError("the variable subset must be nonempty")
-    return _partition(pce).get(u, 0.0)
-
-
 @dataclass
 class SobolReport:
     """Full ladder of indices with screening verdicts and grouped sums."""
@@ -157,39 +149,34 @@ class SobolReport:
         }
 
 
-def screen(report: SobolReport, threshold: float = 0.01):
-    """Partition variables into (important, unimportant) by total index."""
-    important, unimportant = [], []
-    for i, name in enumerate(report.variable_names):
-        (important if report.total[i] >= threshold else unimportant).append(name)
-    return important, unimportant
-
-
-def grouped_sums(report: SobolReport, grouping: dict) -> dict:
-    """Sum first-order indices per label, e.g. per physical property type.
-
-    ``grouping`` maps variable name to label; the per-label sums add up to
-    the total first-order sum exactly.
-    """
-    missing = [n for n in report.variable_names if n not in grouping]
-    if missing:
-        raise ValueError(f"grouping misses variables: {missing[:5]}")
-    out: dict = {}
-    for i, name in enumerate(report.variable_names):
-        label = grouping[name]
-        out[label] = out.get(label, 0.0) + float(report.first_order[i])
-    return out
-
-
 def sobol_report(
     pce: SparsePce,
     threshold: float = 0.01,
     grouping: dict | None = None,
 ) -> SobolReport:
-    """Assemble the complete report from a fitted expansion."""
+    """Assemble the complete report from a fitted expansion.
+
+    A variable is important when its total index is at least ``threshold``.
+    ``grouping``, if given, maps every variable name to a label, e.g. its
+    physical property type; the report then sums the first-order indices
+    per label, and those sums add up to the total first-order sum exactly.
+    """
+    names = tuple(pce.random_vector.names)
     first, tot, second = _indices(pce)
-    report = SobolReport(
-        variable_names=tuple(pce.random_vector.names),
+    important, unimportant = [], []
+    for i, name in enumerate(names):
+        (important if tot[i] >= threshold else unimportant).append(name)
+    sums = None
+    if grouping is not None:
+        missing = [n for n in names if n not in grouping]
+        if missing:
+            raise ValueError(f"grouping misses variables: {missing[:5]}")
+        sums = {}
+        for i, name in enumerate(names):
+            label = grouping[name]
+            sums[label] = sums.get(label, 0.0) + float(first[i])
+    return SobolReport(
+        variable_names=names,
         response_scale=pce.response_scale,
         mean=moments(pce)[0],
         total_variance=total_variance(pce),
@@ -197,13 +184,10 @@ def sobol_report(
         total=tot,
         second_order=second,
         screening_threshold=threshold,
-        important=[],
-        unimportant=[],
+        important=important,
+        unimportant=unimportant,
+        grouped_sums=sums,
     )
-    report.important, report.unimportant = screen(report, threshold)
-    if grouping is not None:
-        report.grouped_sums = grouped_sums(report, grouping)
-    return report
 
 
 @dataclass

@@ -75,8 +75,8 @@ def gram_lar_path(psi, y):
 
 
 def best_prefix(psi, y, order):
-    """``(k, coefficients)`` of the prefix ``[0] + order[:k]`` with the
-    smallest corrected LOO error.  The first prefix that is rank deficient,
+    """``(k, coefficients, corrected LOO error)`` of the prefix
+    ``[0] + order[:k]`` with the smallest corrected LOO error.  The first prefix that is rank deficient,
     conditioned beyond 1e12, saturated or as large as N ends the scan."""
     n = len(y)
     var = float(np.var(y, ddof=1))
@@ -101,4 +101,4 @@ def best_prefix(psi, y, order):
         corrected = err * (1.0 + trace) / (1.0 - a.shape[1] / n)
         if corrected < best_err:
             best_k, best_err, best_beta = k, corrected, beta
-    return best_k, best_beta
+    return best_k, best_beta, best_err

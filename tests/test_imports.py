@@ -2,12 +2,15 @@
 
 Every module-level import is used by its module, and every module-level
 private function, class or constant is referenced somewhere in the
-package.  No linter ships with the project, so these stand in for the
-unused-import and dead-code rules.  Package ``__init__`` files are skipped
-by the import rule: their imports are the public re-exports.  A private
-name stays in its module: no module imports another's ``_name``.
-Process pools are built in ``evaluation.py`` alone, so every map over
-workers goes through its one pool constructor.  Importing the package
+package.  Every public name is used by the pipeline: by the package
+itself, the demos, the benchmark or the acceptance criteria; a name only
+unit tests call belongs under ``tests/``.  No linter ships with the
+project, so these stand in for the unused-import and dead-code rules.
+Package ``__init__`` files are skipped by the import rule: their imports
+are the public re-exports.  A private name stays in its module: no
+module imports another's ``_name``.  Process pools are built in
+``evaluation.py`` alone, so every map over workers goes through its one
+pool constructor.  Importing the package
 pins each BLAS thread variable the user left unset to one thread, the
 variables perfbench pins, and loads no scipy module.  Over uniform inputs
 the design, fit and Sobol' path runs on numpy alone, in the library and in
@@ -97,6 +100,32 @@ def test_private_definitions_are_referenced():
         if name not in used
     ]
     assert not dead, f"private names defined but never referenced: {dead}"
+
+
+def _uses(path):
+    """Names ``path`` uses: loaded names, attributes, imported names and
+    string constants, the keys of lookups such as ``vars(module)[name]``.
+    A definition is not a use."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    yield from _referenced_names(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value
+
+
+def test_public_names_are_used_by_the_pipeline():
+    import pcesobol
+
+    repo = PACKAGE.parent.parent
+    users = (
+        MODULES
+        + sorted((repo / "demos").rglob("*.py"))
+        + sorted((repo / "perfbench").rglob("*.py"))
+        + [repo / "tests" / "test_acceptance.py"]
+    )
+    used = {name for path in users for name in _uses(path)}
+    unused = [name for name in pcesobol.__all__ if name not in used]
+    assert not unused, f"public names only the unit tests use: {unused}"
 
 
 def test_no_private_names_imported():

@@ -15,6 +15,19 @@ def mixed_rv():
     )
 
 
+def from_standard(rv, u):
+    """Standardized points back to physical ones, the inverse of
+    ``to_standard`` written out: onto [a, b] for a uniform marginal, mean
+    plus sd times u for a gaussian one."""
+    cols = []
+    for j, marg in enumerate(rv.marginals):
+        if marg.kind == "uniform":
+            cols.append(marg.a + 0.5 * (u[:, j] + 1.0) * (marg.b - marg.a))
+        else:
+            cols.append(marg.a + marg.b * u[:, j])
+    return np.column_stack(cols)
+
+
 class TestMarginal:
     def test_uniform_midpoint_maps_to_center(self):
         assert Marginal.uniform(5, 25).to_standard(15.0) == pytest.approx(0.0)
@@ -24,12 +37,6 @@ class TestMarginal:
 
     def test_gaussian_standardizes(self):
         assert Marginal.gaussian(2, 3).to_standard(8.0) == pytest.approx(2.0)
-
-    def test_from_standard_trivialities(self):
-        assert Marginal.uniform(-30, 30).from_standard(0.0) == pytest.approx(0.0)
-        assert Marginal.uniform(0.00240, 0.00360).from_standard(1.0) == pytest.approx(
-            0.00360
-        )
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError):
@@ -62,7 +69,7 @@ class TestRandomVector:
         with pytest.raises(ValueError):
             rv.to_standard(np.zeros(2))
         with pytest.raises(ValueError):
-            rv.from_standard(np.zeros((4, 4)))
+            rv.in_support(np.zeros((4, 4)))
 
     def test_round_trip_many_points(self):
         rv = mixed_rv()
@@ -74,7 +81,7 @@ class TestRandomVector:
                 rng.uniform(0.01, 1, 1000),
             ]
         )
-        back = rv.from_standard(rv.to_standard(x))
+        back = from_standard(rv, rv.to_standard(x))
         assert np.max(np.abs(back - x)) < 1e-12
 
     def test_round_trip_other_direction(self):
@@ -83,7 +90,7 @@ class TestRandomVector:
         u = np.column_stack(
             [rng.uniform(-1, 1, 500), rng.normal(size=500), rng.uniform(-1, 1, 500)]
         )
-        again = rv.to_standard(rv.from_standard(u))
+        again = rv.to_standard(from_standard(rv, u))
         assert np.max(np.abs(again - u)) < 1e-12
 
     def test_uniform_standard_components_in_unit_interval(self):

@@ -12,7 +12,6 @@ from pcesobol import (
     RandomVector,
     SparsePce,
     adaptive_fit,
-    corrected_loo,
     enumerate_hyperbolic,
     eval_basis_matrix,
     generalization_error,
@@ -132,10 +131,11 @@ class TestAgainstGramLar:
         path = _hybrid_path(_Basis(psi), y)
         ref_order = gram_lar_path(psi, y)
         assert path.order == ref_order[: len(path.order)]
-        ref_k, ref_beta = best_prefix(psi, y, ref_order)
+        ref_k, ref_beta, ref_err = best_prefix(psi, y, ref_order)
         assert path.best_k == ref_k
         scale = np.abs(ref_beta).max()
         assert np.allclose(path.coeffs, ref_beta, rtol=1e-9, atol=1e-9 * scale)
+        assert path.err_corrected == pytest.approx(ref_err, rel=1e-9, abs=0.0)
 
     def test_random_hybrid_fits(self):
         rng = np.random.default_rng(31)
@@ -156,7 +156,7 @@ class TestAgainstGramLar:
             order = lar_path(psi, y)
             ref_order = gram_lar_path(psi, y)
             assert order == ref_order[: len(order)]
-            ref_k, ref_beta = best_prefix(psi, y, ref_order)
+            ref_k, ref_beta, _ = best_prefix(psi, y, ref_order)
             fitted = dict(zip(map(tuple, pce.active_set.degrees), pce.coefficients))
             ref_cols = [0] + ref_order[:ref_k]
             assert set(fitted) == {tuple(candidate.degrees[c]) for c in ref_cols}
@@ -177,7 +177,7 @@ class TestPathEnd:
         ref_order = gram_lar_path(psi, y)
         assert len(ref_order) == 299
         assert path.order == ref_order[: len(path.order)]
-        ref_k, ref_beta = best_prefix(psi, y, ref_order)
+        ref_k, ref_beta, _ = best_prefix(psi, y, ref_order)
         assert path.best_k == ref_k
         scale = np.abs(ref_beta).max()
         assert np.allclose(path.coeffs, ref_beta, rtol=1e-9, atol=1e-9 * scale)
@@ -419,6 +419,9 @@ class TestLooError:
         beta, *_ = np.linalg.lstsq(psi, y, rcond=None)
         with pytest.raises(ValueError, match="leverage"):
             loo_error(psi, y, beta)
+        # the identity: its first column alone memorizes a point
+        with pytest.raises(ValueError, match="leverage"):
+            loo_error(np.eye(4), y[:4], np.full(4, 0.5))
 
     def test_hat_matrix_identity_matches_naive_refit(self):
         rng = np.random.default_rng(6)
@@ -436,25 +439,34 @@ class TestLooError:
 
 
 class TestCorrectedLoo:
+    """The corrected LOO error of the selected prefix, as the fit reports
+    it; ``TestAgainstGramLar`` checks its value against a separate scan."""
+
     def test_zero_error_stays_zero(self):
-        psi = np.column_stack([np.ones(20), np.linspace(-1, 1, 20)])
-        assert corrected_loo(0.0, psi) == 0.0
+        rv = unit_rv(1)
+        design = lhs(20, rv, seed=3)
+        y = 3.0 - 2.0 * design.points[:, 0]
+        pce = hybrid_fit(enumerate_hyperbolic(1, 3, 1.0), design, y, rv)
+        assert pce.err_loo == 0.0
+        assert pce.err_loo_corrected == 0.0
 
     def test_correction_factor_at_least_one(self):
         rng = np.random.default_rng(7)
         psi = np.column_stack([np.ones(50), rng.normal(size=(50, 4))])
-        assert corrected_loo(1.0, psi) >= 1.0
+        path = _hybrid_path(_Basis(psi), rng.normal(size=50))
+        assert path.err_loo > 0.0
+        assert path.err_corrected >= path.err_loo
 
     def test_factor_shrinks_with_sample_size(self):
         rng = np.random.default_rng(8)
-        small = np.column_stack([np.ones(20), rng.normal(size=(20, 3))])
-        big = np.column_stack([np.ones(2000), rng.normal(size=(2000, 3))])
-        assert corrected_loo(1.0, big) < corrected_loo(1.0, small)
-
-    def test_saturated_model_rejected(self):
-        psi = np.eye(4)
-        with pytest.raises(ValueError):
-            corrected_loo(0.5, psi)
+        factors = []
+        for n in (20, 2000):
+            x = rng.normal(size=(n, 3))
+            y = x @ np.array([1.0, -2.0, 0.5]) + 0.1 * rng.normal(size=n)
+            path = _hybrid_path(_Basis(np.column_stack([np.ones(n), x])), y)
+            assert path.best_k == 3
+            factors.append(path.err_corrected / path.err_loo)
+        assert factors[1] < factors[0]
 
 
 def synthetic_sparse_truth(rng, n, m=4, p=4, q=0.8, n_terms=5, scale=1.0):
@@ -589,9 +601,8 @@ class TestAdaptiveFit:
         design = lhs(60, rv, seed=5)
         x = design.points
         y = 1.0 + x[:, 0] + 0.5 * x[:, 1] ** 2
-        pce, diag = adaptive_fit(design, y, rv, range(1, 7), q=1.0)
+        pce, _ = adaptive_fit(design, y, rv, range(1, 7), q=1.0)
         assert pce.degree == 2
-        assert diag.selected_p == 2
 
     def test_single_degree_range(self):
         rv = unit_rv(2)
