@@ -419,9 +419,6 @@ class TestLooError:
         beta, *_ = np.linalg.lstsq(psi, y, rcond=None)
         with pytest.raises(ValueError, match="leverage"):
             loo_error(psi, y, beta)
-        # the identity: its first column alone memorizes a point
-        with pytest.raises(ValueError, match="leverage"):
-            loo_error(np.eye(4), y[:4], np.full(4, 0.5))
 
     def test_hat_matrix_identity_matches_naive_refit(self):
         rng = np.random.default_rng(6)
@@ -467,6 +464,12 @@ class TestCorrectedLoo:
             assert path.best_k == 3
             factors.append(path.err_corrected / path.err_loo)
         assert factors[1] < factors[0]
+
+    def test_saturated_model_rejected(self):
+        # a saturated design memorizes every point; the leverage check
+        # behind the corrected error refuses it
+        with pytest.raises(ValueError, match="leverage"):
+            loo_error(np.eye(4), np.arange(4.0), np.full(4, 0.5))
 
 
 def synthetic_sparse_truth(rng, n, m=4, p=4, q=0.8, n_terms=5, scale=1.0):
