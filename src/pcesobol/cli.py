@@ -406,18 +406,20 @@ def cmd_fit(
         pce.err_gen = generalization_error(pce, validation)
 
     path = out / "pce.json"
-    pce.save(
+    _write_json(
         path,
-        extra=provenance(
-            cfg,
-            design=str(design_path),
-            design_size=design.n,
-            points_sha256=_array_digest(design.points).hexdigest(),
-            responses_sha256=_array_digest(design.responses).hexdigest(),
-            seeds={"design": cfg["design"].get("seed")},
-            sweep=diag.rows,
-            selected_p=pce.degree,
-        ),
+        {
+            **pce.to_dict(),
+            "provenance": provenance(
+                cfg,
+                design=str(design_path),
+                design_size=design.n,
+                points_sha256=_array_digest(design.points).hexdigest(),
+                responses_sha256=_array_digest(design.responses).hexdigest(),
+                seeds={"design": cfg["design"].get("seed")},
+                sweep=diag.rows,
+            ),
+        },
     )
     print(
         f"wrote {path} (p={pce.degree}, {len(pce.active_set)} terms, "

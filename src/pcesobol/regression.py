@@ -23,13 +23,12 @@ holds ``psi`` in one of two forms:
   parent column (the term without its last nonzero degree) times its last
   column (that degree alone), bit for bit, so any other column is made on
   demand, and ``psi^T v`` over those columns is read off one small product
-  ``(psi_firsts * v)^T psi_seconds``: each column's first and second
-  factor are its parent and last, or its lower and higher held column,
-  whichever grouping makes the product smaller.  On the 78-input
-  screening set at p = 6, q = 0.5 and 500 points, that is 469 of 9478
-  columns, 1.8 MiB instead of 36.2 MiB, and a 78 x 155 product where
-  parents and lasts give 154 x 154, since each pair term's degree-1
-  factor comes first.
+  ``(psi_firsts * v)^T psi_seconds``: each column's first factor is the
+  lower of its two held columns, and its second the higher.  On the
+  78-input screening set at p = 6, q = 0.5 and 500 points, that is 469 of
+  9478 columns, 1.8 MiB instead of 36.2 MiB, and a 78 x 155 product, since
+  each pair term's degree-1 factor comes first; parents and lasts would
+  give 154 x 154.
 * *dense*: the whole matrix, and the plain ``psi^T v``.
 
 A fit holds its basis factored when its candidate set holds every parent
@@ -161,14 +160,6 @@ class SparsePce:
             "active_set": self.active_set.to_sparse_pairs(),
             "coefficients": [float(c) for c in self.coefficients],
         }
-
-    def save(self, path, extra: dict | None = None) -> None:
-        doc = self.to_dict()
-        if extra:
-            doc["provenance"] = extra
-        with open(path, "w") as fh:
-            json.dump(doc, fh, indent=1)
-            fh.write("\n")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SparsePce":
@@ -431,36 +422,30 @@ class _FactoredBasis(_Basis):
     last rows of the candidate set (``MultiIndexSet.factors``).
 
     Column j is ``held[:, left[j]] * held[:, right[j]]``: a held column
-    times the constant column, which is exact, or the parent column times
-    the last column, which ``factors`` guarantees is ``psi[:, j]`` bit for
-    bit.  ``psi^T v`` over the multi-input columns is read off one small
-    product ``(psi_firsts * v)^T psi_seconds``, where each column's first
-    and second factor are its parent and last, or its lower and higher held
-    column, whichever grouping gives the fewer entries.  The grouping reads
-    the candidate set alone; the columns do not depend on it.
+    times the constant column, which is exact, or the lower times the
+    higher of its parent and last column, which ``factors`` guarantees is
+    ``psi[:, j]`` bit for bit.  ``psi^T v`` over the multi-input columns is
+    read off one small product ``(psi_firsts * v)^T psi_seconds``, with
+    each column under its lower held column.  ``parent_at`` and
+    ``last_at`` are the held columns of the ``multi`` rows' factors.
     """
 
     form = "factored"
 
-    def __init__(self, held, rows, parent, last):
+    def __init__(self, held, size, rows, multi, parent_at, last_at):
         self.held = held
-        self.n, self.size = held.shape[0], len(parent)
-        self.rows = rows
-        at = np.zeros(self.size, dtype=np.intp)  # held column of each held row
-        at[rows] = np.arange(len(rows))
-        self.multi = np.flatnonzero(parent > 0)  # row 0 is the zero row
-        self.left = at.copy()
-        self.right = np.zeros(self.size, dtype=np.intp)
-        self.left[self.multi] = at[parent[self.multi]]
-        self.right[self.multi] = at[last[self.multi]]
-        left, right = self.left[self.multi], self.right[self.multi]
-        # a column's two held columns multiply in either order: group each
-        # column under the lower one where that gives the smaller product
-        firsts, seconds, self.flat = min(
-            _grouped(left, right),
-            _grouped(np.minimum(left, right), np.maximum(left, right)),
-            key=lambda g: len(g[0]) * len(g[1]),
-        )
+        self.n, self.size = held.shape[0], size
+        self.rows, self.multi = rows, multi
+        lower, higher = np.minimum(parent_at, last_at), np.maximum(parent_at, last_at)
+        self.left = np.zeros(size, dtype=np.intp)
+        self.left[rows] = np.arange(len(rows))
+        self.left[multi] = lower
+        # a held column's second factor is held column 0, the constant
+        self.right = np.zeros(size, dtype=np.intp)
+        self.right[multi] = higher
+        firsts, first_of = np.unique(lower, return_inverse=True)
+        seconds, second_of = np.unique(higher, return_inverse=True)
+        self.flat = first_of * len(seconds) + second_of  # place in the product
         self.firsts_t = np.ascontiguousarray(held[:, firsts].T)
         self.seconds = np.ascontiguousarray(held[:, seconds])
 
@@ -476,14 +461,6 @@ class _FactoredBasis(_Basis):
         return np.multiply(self.held[:, left], self.held[:, right], out=out)
 
 
-def _grouped(a, b):
-    """Distinct ``a`` and ``b`` values, and each pair's place in their
-    ``len(a_values) x len(b_values)`` grid, flattened."""
-    a_values, a_of = np.unique(a, return_inverse=True)
-    b_values, b_of = np.unique(b, return_inverse=True)
-    return a_values, b_values, a_of * len(b_values) + b_of
-
-
 def _candidate_basis(candidate: MultiIndexSet, u, families) -> _Basis:
     """The basis of ``candidate`` at standardized points ``u``, in the form
     the module docstring's rule picks from ``candidate.factors()`` before
@@ -497,7 +474,14 @@ def _candidate_basis(candidate: MultiIndexSet, u, families) -> _Basis:
             # graded-lex rows that include the zero row: a valid set
             rows = np.union1d(np.flatnonzero(parent == 0), np.union1d(parents, lasts))
             held = MultiIndexSet(candidate.degrees[rows], candidate.p, candidate.q)
-            return _FactoredBasis(eval_basis_matrix(held, u, families), rows, parent, last)
+            return _FactoredBasis(
+                eval_basis_matrix(held, u, families),
+                len(candidate),
+                rows,
+                multi,
+                np.searchsorted(rows, parent[multi]),
+                np.searchsorted(rows, last[multi]),
+            )
     return _Basis(eval_basis_matrix(candidate, u, families))
 
 
@@ -692,10 +676,8 @@ class _Sweep:
         self.stopped = finished or (self.stall >= 3 and self.best is not None)
 
     def reach(self):
-        """The highest index into ``p_list`` the walk is sure to reach,
-        whatever the fits still to come say."""
-        if self.stopped:
-            return self.walked - 1
+        """The highest index into ``p_list`` the walk of a sweep not yet
+        stopped is sure to reach, whatever the fits still to come say."""
         ahead = 3 if self.best is None else 2 - self.stall
         return min(self.walked + ahead, len(self.p_list) - 1)
 

@@ -1,13 +1,39 @@
-"""Shared fixtures: analytic benchmark functions and their exact indices."""
+"""Shared fixtures: analytic benchmark functions and their exact indices,
+unit-uniform random vectors, and a record of the process pools started."""
 
 import math
+from collections import namedtuple
 
 # pcesobol first: importing it pins the BLAS threads before numpy loads its
 # BLAS, so the session runs one BLAS thread a process and sweeps on a pool
-from pcesobol import Marginal, RandomVector
+from pcesobol import Marginal, RandomVector, evaluation
 
 import numpy as np
 import pytest
+
+
+def unit_rv(m):
+    return RandomVector(
+        tuple(f"x{i}" for i in range(m)),
+        tuple(Marginal.uniform(-1.0, 1.0) for _ in range(m)),
+    )
+
+
+Pool = namedtuple("Pool", "max_workers mp_context")
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """Every process pool ``evaluation`` starts in the test, as a ``Pool``."""
+    started = []
+
+    class RecordingPool(evaluation.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, mp_context=None, **kwargs):
+            started.append(Pool(max_workers, mp_context))
+            super().__init__(max_workers=max_workers, mp_context=mp_context, **kwargs)
+
+    monkeypatch.setattr(evaluation, "ProcessPoolExecutor", RecordingPool)
+    return started
 
 
 def ishigami(x, a=7.0, b=0.1):

@@ -294,17 +294,7 @@ class TestEvaluate:
             assert f"row {i}: FAILED (FileNotFoundError" in err
             assert str(exchange / f"row_{i:06d}.in.csv") in err
 
-    def test_external_rows_run_on_workers(self, tmp_path, monkeypatch):
-        from pcesobol import evaluation
-
-        pools = []
-
-        class RecordingPool(evaluation.ProcessPoolExecutor):
-            def __init__(self, max_workers=None, **kwargs):
-                pools.append(max_workers)
-                super().__init__(max_workers=max_workers, **kwargs)
-
-        monkeypatch.setattr(evaluation, "ProcessPoolExecutor", RecordingPool)
+    def test_external_rows_run_on_workers(self, tmp_path, pools):
         # the response is the sum of the row's parameters
         command = (
             f"{sys.executable} -c \"import sys;"
@@ -328,7 +318,7 @@ class TestEvaluate:
                 (out / "design.responses.csv").read_text(),
                 (out / "design.partial.csv").read_text(),
             )
-        assert pools == [2]
+        assert [pool.max_workers for pool in pools] == [2]
         assert outputs[2] == outputs[1]
         design = ExperimentalDesign.from_csv(tmp_path / "out1" / "design.csv")
         responses = load_responses_csv(tmp_path / "out2" / "design.responses.csv")

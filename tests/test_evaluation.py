@@ -120,26 +120,18 @@ def test_workers_follow_the_blas_threads_numpy_loaded_with():
     assert two == max(1, cores // 2)
 
 
-def test_no_fork_means_in_process_fits(monkeypatch):
+def test_no_fork_means_in_process_fits(monkeypatch, pools):
     # Windows: no fork and no affinity call
     monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
     monkeypatch.delattr(os, "sched_getaffinity")
     assert evaluation.worker_count() == 1
     # model rows still use a pool, on the platform's default start method
-    contexts = []
-
-    class RecordingPool(evaluation.ProcessPoolExecutor):
-        def __init__(self, max_workers=None, mp_context=None, **kwargs):
-            contexts.append(mp_context)
-            super().__init__(max_workers=max_workers, mp_context=mp_context, **kwargs)
-
-    monkeypatch.setattr(evaluation, "ProcessPoolExecutor", RecordingPool)
     points = np.array([[1.0], [3.0]])
     assert list(evaluate_rows(double_unless_negative, points, workers=2)) == [
         (0, 2.0, ""),
         (1, 6.0, ""),
     ]
-    assert contexts == [None]
+    assert [pool.mp_context for pool in pools] == [None]
 
 
 def test_macos_fits_run_in_process(monkeypatch):

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import tracemalloc
 from pathlib import Path
 
@@ -7,9 +8,7 @@ import pytest
 
 from pcesobol import (
     ExperimentalDesign,
-    Marginal,
     MultiIndexSet,
-    RandomVector,
     SparsePce,
     adaptive_fit,
     enumerate_hyperbolic,
@@ -23,14 +22,8 @@ from pcesobol import (
 )
 from pcesobol import aquifer
 from pcesobol.regression import _Basis, _candidate_basis, _hybrid_path
+from conftest import unit_rv
 from lar_reference import best_prefix, gram_lar_path
-
-
-def unit_rv(m):
-    return RandomVector(
-        tuple(f"x{i}" for i in range(m)),
-        tuple(Marginal.uniform(-1.0, 1.0) for _ in range(m)),
-    )
 
 
 def orthonormal_centered_columns(n, p, rng):
@@ -329,18 +322,16 @@ class TestFactoredProduct:
         assert basis.held.shape == (8, 1 + 90 + 406)
 
     def test_product_takes_the_smaller_grouping(self):
-        products = {}
-        for m, p, q in self.FACTORED_SETS:
+        for (m, p, q), shape in zip(self.FACTORED_SETS, ((78, 155), (30, 465))):
             mset = enumerate_hyperbolic(m, p, q)
             parent, last = mset.factors()
             multi = parent > 0
             by_parent = len(np.unique(parent[multi])) * len(np.unique(last[multi]))
             basis, _ = self.both_forms(mset, 8, 37)
-            products[m, p, q] = (basis.firsts_t.shape[0], basis.seconds.shape[1]), by_parent
-        # each screening pair term is grouped under its degree-1 factor
-        assert products[78, 6, 0.5] == ((78, 155), 154 * 154)
-        (rows, cols), by_parent = products[30, 3, 1.0]
-        assert rows * cols <= by_parent
+            rows, cols = basis.firsts_t.shape[0], basis.seconds.shape[1]
+            # one grouping: each column under its lower held column
+            assert (rows, cols) == shape
+            assert rows * cols <= by_parent
 
     def test_chosen_from_the_candidate_set(self):
         def form(mset):
@@ -657,7 +648,7 @@ class TestSerialization:
         rv, candidate, design, y, _, _ = synthetic_sparse_truth(rng, n=50)
         pce = hybrid_fit(candidate, design, y, rv)
         path = tmp_path / "pce.json"
-        pce.save(path, extra={"seed": 18})
+        path.write_text(json.dumps({**pce.to_dict(), "provenance": {"seed": 18}}))
         back = SparsePce.load(path)
         assert np.array_equal(back.active_set.degrees, pce.active_set.degrees)
         assert np.array_equal(back.coefficients, pce.coefficients)

@@ -12,47 +12,30 @@ import numpy as np
 import pytest
 
 from pcesobol import (
-    Marginal,
-    RandomVector,
     adaptive_fit,
     aquifer,
     lhs,
     load_responses_csv,
     repeated_subsample_study,
 )
-from pcesobol import evaluation, regression
-from conftest import ishigami
+from pcesobol import regression
+from conftest import ishigami, unit_rv
 
 SCREENING_RESPONSES = (
     Path(__file__).resolve().parent.parent / "perfbench" / "data" / "screening_responses.csv"
 )
 
 
-def unit_rv(m):
-    return RandomVector(
-        tuple(f"x{i}" for i in range(m)),
-        tuple(Marginal.uniform(-1.0, 1.0) for _ in range(m)),
-    )
-
-
 @pytest.fixture
-def on_workers(monkeypatch):
+def on_workers(monkeypatch, pools):
     """``run(workers, fn, *args)``: call ``fn`` with the sweep on that many
-    workers, and record the size of every pool started."""
-    pools = []
-
-    class RecordingPool(evaluation.ProcessPoolExecutor):
-        def __init__(self, max_workers=None, **kwargs):
-            pools.append(max_workers)
-            super().__init__(max_workers=max_workers, **kwargs)
-
-    monkeypatch.setattr(evaluation, "ProcessPoolExecutor", RecordingPool)
+    workers; ``run.pools()`` is the size of every pool started."""
 
     def run(workers, fn, *args, **kwargs):
         monkeypatch.setattr(regression, "worker_count", lambda: workers)
         return fn(*args, **kwargs)
 
-    run.pools = pools
+    run.pools = lambda: [pool.max_workers for pool in pools]
     return run
 
 
@@ -67,7 +50,7 @@ def test_screening_sweep_same_on_pool(on_workers):
     y = load_responses_csv(SCREENING_RESPONSES)
     serial = on_workers(1, adaptive_fit, design, y, rv, range(1, 5), q=0.5)
     pooled = on_workers(2, adaptive_fit, design, y, rv, range(1, 5), q=0.5)
-    assert on_workers.pools == [2]
+    assert on_workers.pools() == [2]
     assert [row["p"] for row in serial[1].rows] == [1, 2, 3, 4]
     assert fingerprint(pooled) == fingerprint(serial)
 
@@ -95,11 +78,11 @@ def test_early_stop_same_on_pool(on_workers, monkeypatch, tmp_path):
     serial_calls = counting(monkeypatch, tmp_path / "serial")
     serial = on_workers(1, adaptive_fit, design, y, rv, range(1, 12), q=1.0)
     # one worker: no pool, and no degree past the stop is fitted
-    assert on_workers.pools == []
+    assert on_workers.pools() == []
     assert sorted(serial_calls()) == [row["p"] for row in serial[1].rows] == [1, 2, 3, 4]
     pool_calls = counting(monkeypatch, tmp_path / "pool")
     pooled = on_workers(2, adaptive_fit, design, y, rv, range(1, 12), q=1.0)
-    assert on_workers.pools == [2]
+    assert on_workers.pools() == [2]
     assert fingerprint(pooled) == fingerprint(serial)
     # two workers: at most two degrees past the stop
     assert {1, 2, 3, 4} <= set(pool_calls()) <= {1, 2, 3, 4, 5, 6}
@@ -151,7 +134,7 @@ def test_failed_degree_keeps_its_row_on_pool(on_workers, monkeypatch):
     y = design.points[:, 0] ** 3
     serial = on_workers(1, adaptive_fit, design, y, rv, [1, 2, 3], q=1.0)
     pooled = on_workers(2, adaptive_fit, design, y, rv, [1, 2, 3], q=1.0)
-    assert on_workers.pools == [2]
+    assert on_workers.pools() == [2]
     assert pooled[1].rows[1]["status"] == "failed: singular matrix"
     assert fingerprint(pooled) == fingerprint(serial)
 
@@ -170,7 +153,7 @@ def test_other_errors_in_a_worker_propagate(on_workers, monkeypatch, workers):
     design = lhs(30, rv, seed=6)
     with pytest.raises(ValueError, match="broken at p 2"):
         on_workers(workers, adaptive_fit, design, design.points[:, 0], rv, [1, 2, 3], q=1.0)
-    assert on_workers.pools == ([2] if workers == 2 else [])
+    assert on_workers.pools() == ([2] if workers == 2 else [])
 
 
 def test_subsample_study_totals_same_on_pool(on_workers, ishigami_rv):
@@ -179,5 +162,5 @@ def test_subsample_study_totals_same_on_pool(on_workers, ishigami_rv):
     kwargs = dict(subset_size=120, repetitions=4, seed=7, p_range=range(1, 9))
     serial = on_workers(1, repeated_subsample_study, design, y, ishigami_rv, **kwargs)
     pooled = on_workers(2, repeated_subsample_study, design, y, ishigami_rv, **kwargs)
-    assert on_workers.pools == [2]
+    assert on_workers.pools() == [2]
     assert pooled.totals.tobytes() == serial.totals.tobytes()
