@@ -66,9 +66,9 @@ def main():
     grid = np.linspace(-np.pi, np.pi, 9)
     effect = ps.univariate_effect(pce, 1, grid)
     print("\nunivariate effect of x2 (conditional mean minus overall mean):")
-    for xval, eval_ in zip(effect.grid, effect.values):
-        bar = "#" * int(20 * (eval_ - effect.values.min())
-                        / max(np.ptp(effect.values), 1e-12))
+    for xval, eval_ in zip(grid, effect):
+        bar = "#" * int(20 * (eval_ - effect.min())
+                        / max(np.ptp(effect), 1e-12))
         print(f"  x2={xval:+.2f}  {eval_:+8.4f}  {bar}")
 
 

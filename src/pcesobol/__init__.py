@@ -49,7 +49,6 @@ from .regression import (
 from .sensitivity import (
     SobolReport,
     SubsampleStudy,
-    UnivariateEffect,
     moments,
     repeated_subsample_study,
     sobol_first,
@@ -71,7 +70,6 @@ __all__ = [
     "SobolReport",
     "SparsePce",
     "SubsampleStudy",
-    "UnivariateEffect",
     "adaptive_fit",
     "adaptive_fit_draws",
     "aquifer",

@@ -5,28 +5,45 @@ cell-centered grid.  Each layer carries five uncertain properties
 (porosity via the petrofacies map, conductivity anisotropy, tensor
 orientation, longitudinal dispersivity, dispersivity anisotropy); three
 boundary hydraulic gradients complete the parameter vector.
+
+The vector's layout is stated once, in ``LAYER_PROPERTIES`` and each
+model's ``parameter_table``: the names, the random vector, the nominal
+vector, the split into ``ModelParameters`` fields and the range check
+all read it.
 """
 
 from __future__ import annotations
 
 import importlib.resources
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, replace
+from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 import yaml
 
 from ..probability import Marginal, RandomVector
 
-# (short name, yaml key) of the per-layer uncertain properties, in the
-# order they appear inside each layer's block of the parameter vector
+# (short name, yaml key, ModelParameters field) of the per-layer uncertain
+# properties, in the order they appear inside each layer's block of the
+# parameter vector; porosity's range and nominal value are per layer
 LAYER_PROPERTIES = (
-    ("phi", None),
-    ("AK", "anisotropy_k"),
-    ("theta", "euler_angle"),
-    ("aL", "dispersivity_l"),
-    ("Aa", "anisotropy_a"),
+    ("phi", None, "phi"),
+    ("AK", "anisotropy_k", "anisotropy_k"),
+    ("theta", "euler_angle", "theta_deg"),
+    ("aL", "dispersivity_l", "alpha_l"),
+    ("Aa", "anisotropy_a", "anisotropy_a"),
 )
+
+
+class ParameterTable(NamedTuple):
+    """The parameter vector's entries in vector order: names, lower and
+    upper bounds, nominal values.  The arrays are read-only."""
+
+    names: tuple
+    lower: np.ndarray
+    upper: np.ndarray
+    nominal: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -172,11 +189,28 @@ class CrossSectionModel:
 
     def refined(self, factor: int = 2) -> "CrossSectionModel":
         """Same model on a grid refined by an integer factor."""
-        return CrossSectionModel(
-            self.length, self.height, self.dx / factor, self.dz / factor,
-            self.layers, self.segments, self.zones, self.property_ranges,
-            self.tz_x, self.tz_z, self.d_m, self.seconds_per_year,
-        )
+        return replace(self, dx=self.dx / factor, dz=self.dz / factor)
+
+    @cached_property
+    def parameter_table(self) -> "ParameterTable":
+        """Name, bounds and nominal value of each parameter vector entry:
+        for each layer, its ``LAYER_PROPERTIES`` in order, then the
+        gradient of each zone by zone id."""
+        rows = []
+        for lay in self.layers:
+            for short, key, _ in LAYER_PROPERTIES:
+                if key is None:
+                    spec = {"nominal": lay.phi_nominal, "range": lay.phi_range}
+                else:
+                    spec = self.property_ranges[key]
+                rows.append((f"{short}:{lay.name}", spec["range"], spec["nominal"]))
+        for zone in sorted(self.zones):
+            spec = self.zones[zone]["gradient"]
+            rows.append((f"gradH:{zone}", spec["range"], spec["nominal"]))
+        names, ranges, nominal = zip(*rows)
+        bounds, nominal = np.array(ranges, dtype=float), np.array(nominal, dtype=float)
+        bounds.flags.writeable = nominal.flags.writeable = False
+        return ParameterTable(names, *bounds.T, nominal)
 
     def segment_heads(
         self, segment: BoundarySegment, coords, gradient=None
@@ -272,43 +306,20 @@ def default_model() -> CrossSectionModel:
 
 def parameter_names(model: CrossSectionModel) -> tuple:
     """Names of the full parameter vector: 5 per layer plus zone gradients."""
-    names = []
-    for lay in model.layers:
-        for short, _ in LAYER_PROPERTIES:
-            names.append(f"{short}:{lay.name}")
-    for zone in sorted(model.zones):
-        names.append(f"gradH:{zone}")
-    return tuple(names)
+    return model.parameter_table.names
 
 
 def random_vector(model: CrossSectionModel) -> RandomVector:
     """Independent uniform marginals over the tabulated uncertainty ranges."""
-    margs = []
-    for lay in model.layers:
-        for short, key in LAYER_PROPERTIES:
-            if short == "phi":
-                lo, hi = lay.phi_range
-            else:
-                lo, hi = model.property_ranges[key]["range"]
-            margs.append(Marginal.uniform(lo, hi))
-    for zone in sorted(model.zones):
-        lo, hi = model.zones[zone]["gradient"]["range"]
-        margs.append(Marginal.uniform(lo, hi))
-    return RandomVector(parameter_names(model), tuple(margs))
+    table = model.parameter_table
+    return RandomVector(
+        table.names, tuple(map(Marginal.uniform, table.lower, table.upper))
+    )
 
 
 def nominal_parameters(model: CrossSectionModel) -> np.ndarray:
     """The nominal parameter vector (anchor porosities, default properties)."""
-    vals = []
-    for lay in model.layers:
-        for short, key in LAYER_PROPERTIES:
-            if short == "phi":
-                vals.append(lay.phi_nominal)
-            else:
-                vals.append(model.property_ranges[key]["nominal"])
-    for zone in sorted(model.zones):
-        vals.append(model.zones[zone]["gradient"]["nominal"])
-    return np.array(vals)
+    return model.parameter_table.nominal.copy()
 
 
 @dataclass
@@ -325,30 +336,35 @@ class ModelParameters:
     @classmethod
     def from_vector(cls, model: CrossSectionModel, params) -> "ModelParameters":
         params = np.asarray(params, dtype=float).ravel()
-        n_lay = len(model.layers)
-        n_zone = len(model.zones)
-        expected = n_lay * len(LAYER_PROPERTIES) + n_zone
-        if params.size != expected:
-            raise ValueError(
-                f"parameter vector has {params.size} entries, expected {expected}"
-            )
-        block = params[: n_lay * len(LAYER_PROPERTIES)].reshape(
-            n_lay, len(LAYER_PROPERTIES)
-        )
-        grads = dict(zip(sorted(model.zones), params[-n_zone:])) if n_zone else {}
-        return cls(
-            phi=block[:, 0].copy(),
-            anisotropy_k=block[:, 1].copy(),
-            theta_deg=block[:, 2].copy(),
-            alpha_l=block[:, 3].copy(),
-            anisotropy_a=block[:, 4].copy(),
-            gradients=grads,
+        _check_size(model, params)
+        n_layer = len(model.layers) * len(LAYER_PROPERTIES)
+        block = params[:n_layer].reshape(len(model.layers), len(LAYER_PROPERTIES))
+        fields = {
+            attr: block[:, k].copy() for k, (_, _, attr) in enumerate(LAYER_PROPERTIES)
+        }
+        gradients = dict(zip(sorted(model.zones), params[n_layer:]))
+        return cls(**fields, gradients=gradients)
+
+
+def _check_size(model: CrossSectionModel, params: np.ndarray) -> None:
+    expected = len(model.parameter_table.names)
+    if params.size != expected:
+        raise ValueError(
+            f"parameter vector has {params.size} entries, expected {expected}"
         )
 
 
 def validate_parameters(model: CrossSectionModel, params) -> None:
-    """Reject parameter vectors outside the tabulated uncertainty ranges."""
-    rv = random_vector(model)
-    ok = rv.in_support(np.atleast_2d(np.asarray(params, dtype=float)))
-    if not bool(np.all(ok)):
-        raise ValueError("parameter vector outside the uncertainty ranges")
+    """Reject a parameter vector of the wrong size, or one with an entry
+    outside its tabulated uncertainty range; the message names the first
+    such entry.  NaN is outside every range."""
+    table = model.parameter_table
+    params = np.asarray(params, dtype=float).ravel()
+    _check_size(model, params)
+    bad = np.flatnonzero(~((params >= table.lower) & (params <= table.upper)))
+    if bad.size:
+        j = bad[0]
+        raise ValueError(
+            f"parameter {table.names[j]} = {float(params[j])!r} is outside its "
+            f"range [{float(table.lower[j])!r}, {float(table.upper[j])!r}]"
+        )

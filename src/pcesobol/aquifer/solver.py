@@ -422,7 +422,6 @@ class OutflowBudget:
     """Boundary in/outflow totals and per-group outflow fractions."""
 
     fractions: dict
-    outflow: dict
     inflow_total: float
     outflow_total: float
     imbalance: float
@@ -449,7 +448,7 @@ def outflow_budget(flow: FlowField, model: CrossSectionModel) -> OutflowBudget:
     fractions = {
         g: (v / total_out if total_out > 0 else 0.0) for g, v in out_by_group.items()
     }
-    return OutflowBudget(fractions, out_by_group, total_in, total_out, imbalance)
+    return OutflowBudget(fractions, total_in, total_out, imbalance)
 
 
 def solve_mle(

@@ -31,7 +31,13 @@ from . import __version__
 from .evaluation import evaluate_rows
 from .probability import Marginal, RandomVector
 from .sampling import ExperimentalDesign, lhs, nested_lhs_enrich, write_csv
-from .regression import SparsePce, adaptive_fit, generalization_error
+from .regression import (
+    ORIGINAL,
+    SparsePce,
+    adaptive_fit,
+    checked_responses,
+    generalization_error,
+)
 from .sensitivity import repeated_subsample_study, sobol_report, univariate_effect
 
 _CONFIG_DEFAULTS = {
@@ -185,6 +191,14 @@ def _load_design(path, names, responses_path=None) -> ExperimentalDesign:
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from None
     return design
+
+
+def _check_responses(design: ExperimentalDesign, path, scale: str) -> None:
+    """Refuse, naming ``path``, responses no fit could take."""
+    try:
+        checked_responses(design.responses, design, scale)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def provenance(cfg, **extra) -> dict:
@@ -383,14 +397,20 @@ def cmd_fit(
     design = _load_design(design_path, rv.names, responses_path)
     fit_cfg = cfg["fit"]
     lo, hi = fit_cfg["p_range"]
+    joint = fit_cfg["use_enrichment"] == "joint"
+    _check_responses(design, responses_path, fit_cfg["scale"])
 
     validation = None
     if validation_design:
         validation = _load_design(validation_design, rv.names, validation_responses)
         if validation.responses is None:
             raise ConfigError("validation design needs responses")
+        # a validation set is scored on the original scale unless it is fitted
+        _check_responses(
+            validation, validation_responses, fit_cfg["scale"] if joint else ORIGINAL
+        )
 
-    if fit_cfg["use_enrichment"] == "joint" and validation is not None:
+    if joint and validation is not None:
         design = design.stacked(validation)
         validation = None
 
@@ -474,14 +494,15 @@ def cmd_sobol(cfg, pce_path, grouping_path=None, *, out: Path) -> list:
 
     names = report.variable_names
     fpath = out / "sobol_first_total.csv"
-    columns = ("variable", "first_order", "total", "important")
-    important = (int(name in report.important) for name in names)
-    write_csv(fpath, columns, zip(names, report.first_order, report.total, important))
+    rows = (
+        (v["name"], v["first_order"], v["total"], int(v["important"]))
+        for v in doc["variables"]
+    )
+    write_csv(fpath, ("variable", "first_order", "total", "important"), rows)
     written.append(fpath)
 
     spath = out / "sobol_second_order.csv"
-    pairs = sorted(report.second_order.items(), key=lambda kv: -kv[1])
-    rows = ((names[i], names[j], v) for (i, j), v in pairs)
+    rows = ((v["i"], v["j"], v["index"]) for v in doc["second_order"])
     write_csv(spath, ("variable_i", "variable_j", "index"), rows)
     written.append(spath)
 
@@ -511,9 +532,8 @@ def cmd_sobol(cfg, pce_path, grouping_path=None, *, out: Path) -> list:
             grid = np.linspace(marg.a, marg.b, _EFFECT_POINTS)
         else:
             grid = np.linspace(marg.a - 3 * marg.b, marg.a + 3 * marg.b, _EFFECT_POINTS)
-        eff = univariate_effect(pce, i, grid)
         epath = out / f"effect_{name.replace(':', '_')}.csv"
-        write_csv(epath, (name, "effect"), zip(eff.grid, eff.values))
+        write_csv(epath, (name, "effect"), zip(grid, univariate_effect(pce, i, grid)))
         written.append(epath)
 
     for p in written:
@@ -531,6 +551,12 @@ def cmd_study(cfg, design_path, responses_path, out: Path) -> Path:
     scfg = cfg["study"]
     fit_cfg = cfg["fit"]
     lo, hi = fit_cfg["p_range"]
+    _check_responses(design, responses_path, fit_cfg["scale"])
+    if scfg["subset_size"] > design.n:
+        raise ConfigError(
+            f"study.subset_size is {scfg['subset_size']}, more than the"
+            f" {design.n} points of {design_path}"
+        )
     study = repeated_subsample_study(
         design,
         design.responses,

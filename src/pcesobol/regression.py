@@ -93,17 +93,16 @@ class SparsePce:
 
     Coefficients are in the orthonormal-basis convention and aligned with
     ``active_set`` (graded-lex order, zero index first, so
-    ``coefficients[0]`` is the mean in the fit scale).
+    ``coefficients[0]`` is the mean in the fit scale).  The truncation
+    ``degree`` and ``q`` are the active set's, and ``candidate_size`` is
+    the size of the candidate set it was selected from.
     """
 
     random_vector: RandomVector
     active_set: MultiIndexSet
     coefficients: np.ndarray
-    degree: int
-    q: float
     err_loo: float
     err_loo_corrected: float
-    sparsity_index: float
     candidate_size: int
     response_scale: str = ORIGINAL
     err_gen: float | None = None
@@ -118,10 +117,23 @@ class SparsePce:
         self.coefficients = np.asarray(self.coefficients, dtype=float).ravel()
         if len(self.coefficients) != len(self.active_set):
             raise ValueError("coefficient vector does not match active set size")
-        if not (0.0 < self.sparsity_index <= 1.0):
-            raise ValueError("sparsity index must lie in (0, 1]")
+        if len(self.active_set) > self.candidate_size:
+            raise ValueError("active set is larger than the candidate set")
         if self.response_scale not in (ORIGINAL, LOG):
             raise ValueError(f"unknown response scale {self.response_scale!r}")
+
+    @property
+    def degree(self) -> int:
+        return self.active_set.p
+
+    @property
+    def q(self) -> float:
+        return self.active_set.q
+
+    @property
+    def sparsity_index(self) -> float:
+        """Share of the candidate set that is active, in (0, 1]."""
+        return len(self.active_set) / self.candidate_size
 
     def predict(self, points):
         """Surrogate values in the fit scale at physical-space points."""
@@ -183,11 +195,8 @@ class SparsePce:
                 degrees, doc["truncation"]["p"], doc["truncation"]["q"]
             ),
             coefficients=doc["coefficients"],
-            degree=doc["truncation"]["p"],
-            q=doc["truncation"]["q"],
             err_loo=errors["loo"],
             err_loo_corrected=errors["loo_corrected"],
-            sparsity_index=doc["sparsity_index"],
             candidate_size=doc["candidate_size"],
             response_scale=doc["response_scale"],
             err_gen=errors["generalization"],
@@ -264,12 +273,13 @@ def generalization_error(pce: SparsePce, validation: ExperimentalDesign) -> floa
     """Relative mean-square surrogate-vs-model gap on a validation set.
 
     Always evaluated in the original response scale: a log-scale expansion
-    is exponentiated before comparison.
+    is exponentiated before comparison.  The validation responses must pass
+    ``checked_responses`` on that scale.
     """
     if validation.responses is None:
         raise ValueError("validation design has no responses")
-    y = validation.responses
-    var = float(np.var(y, ddof=1)) if y.size > 1 else 0.0
+    y = checked_responses(validation.responses, validation, ORIGINAL)
+    var = float(np.var(y, ddof=1))
     if var <= 0.0:
         raise ValueError("validation responses have zero variance")
     yhat = pce.predict_original(validation.points)
@@ -556,8 +566,10 @@ def _hybrid_path(basis: _Basis, y) -> _HybridPath:
     return _HybridPath(order, best_k, best[0], best[1], coeffs, path_end, basis.form)
 
 
-def _checked_responses(responses, design: ExperimentalDesign, scale: str):
-    """Responses as a float vector, after the checks every fit needs."""
+def checked_responses(responses, design: ExperimentalDesign, scale: str):
+    """Responses as a float vector, after the checks every fit needs: one
+    finite value per design row, more than two rows, and on the log scale
+    every value positive.  A non-finite value is named by its row."""
     y = np.asarray(responses, dtype=float).ravel()
     if y.shape[0] != design.n:
         raise ValueError("responses do not match design size")
@@ -589,7 +601,7 @@ def hybrid_fit(
     columns must be named as ``rv``'s inputs, in order.
     """
     design.check_names(rv.names)
-    y = _checked_responses(responses, design, scale)
+    y = checked_responses(responses, design, scale)
     if scale == LOG:
         y = np.log(y)
 
@@ -609,11 +621,8 @@ def hybrid_fit(
         random_vector=rv,
         active_set=active,
         coefficients=coeffs,
-        degree=candidate.p,
-        q=candidate.q,
         err_loo=path.err_loo,
         err_loo_corrected=path.err_corrected,
-        sparsity_index=len(active) / len(candidate),
         candidate_size=len(candidate),
         response_scale=scale,
         picks=path.picks,
@@ -714,7 +723,7 @@ def adaptive_fit_draws(
     if not p_list or p_list[0] < 1:
         raise ValueError("p_range must contain degrees >= 1")
     # input-contract problems would repeat identically at every degree
-    draws = [(design, _checked_responses(y, design, scale)) for design, y in draws]
+    draws = [(design, checked_responses(y, design, scale)) for design, y in draws]
     sweeps = [_Sweep(p_list) for _ in draws]
     started = [set() for _ in draws]
     workers = worker_count()

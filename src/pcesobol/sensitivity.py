@@ -10,6 +10,10 @@ The squared non-constant coefficients partition exactly into the subsets,
 hence sum-of-all-indices = 1 holds to roundoff; indices are invariant
 under positive rescaling of the responses but NOT under a logarithmic
 transform, so every report carries the response scale it was computed in.
+
+A report stores what it cannot derive: its ``unimportant`` list is read
+off ``important``, and ``univariate_effect`` returns the effect's values
+at the caller's grid points, nothing more.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import eval_orthonormal_all
-from .regression import SparsePce, adaptive_fit_draws
+from .regression import SparsePce, adaptive_fit_draws, checked_responses
 # not called here: perfbench's trace plan wraps this name
 from .regression import adaptive_fit  # noqa: F401
 from .sampling import ExperimentalDesign
@@ -106,8 +110,12 @@ class SobolReport:
     second_order: dict
     screening_threshold: float
     important: list
-    unimportant: list
     grouped_sums: dict | None = None
+
+    @property
+    def unimportant(self) -> list:
+        """Variables whose total index is below the threshold, in order."""
+        return [n for n in self.variable_names if n not in self.important]
 
     def ranked(self, top: int | None = None):
         """Variables by descending total index: [(name, total, first), ...]."""
@@ -163,9 +171,7 @@ def sobol_report(
     """
     names = tuple(pce.random_vector.names)
     first, tot, second = _indices(pce)
-    important, unimportant = [], []
-    for i, name in enumerate(names):
-        (important if tot[i] >= threshold else unimportant).append(name)
+    important = [name for i, name in enumerate(names) if tot[i] >= threshold]
     sums = None
     if grouping is not None:
         missing = [n for n in names if n not in grouping]
@@ -185,29 +191,18 @@ def sobol_report(
         second_order=second,
         screening_threshold=threshold,
         important=important,
-        unimportant=unimportant,
         grouped_sums=sums,
     )
 
 
-@dataclass
-class UnivariateEffect:
-    """First-order summand of one variable: a 1-D polynomial and its values.
+def univariate_effect(pce: SparsePce, i: int, grid) -> np.ndarray:
+    """The first-order summand of variable ``i`` at each point of a
+    physical ``grid``.
 
     The effect is the conditional expectation of the surrogate given the
     variable, minus the mean, so it integrates to zero against the
     marginal.
     """
-
-    variable: int
-    degrees: np.ndarray
-    coefficients: np.ndarray
-    grid: np.ndarray
-    values: np.ndarray
-
-
-def univariate_effect(pce: SparsePce, i: int, grid) -> UnivariateEffect:
-    """Evaluate the first-order summand of variable ``i`` on a physical grid."""
     if not (0 <= i < pce.active_set.m):
         raise ValueError(f"variable index {i} out of range")
     degrees = pce.active_set.degrees
@@ -217,12 +212,10 @@ def univariate_effect(pce: SparsePce, i: int, grid) -> UnivariateEffect:
     grid = np.asarray(grid, dtype=float).ravel()
     marg = pce.random_vector.marginals[i]
     u = marg.to_standard(grid)
-    if degs.size:
-        table = eval_orthonormal_all(marg.family, int(degs.max()), u)
-        values = table[:, degs] @ coeffs
-    else:
-        values = np.zeros_like(u)
-    return UnivariateEffect(i, degs, coeffs, grid, values)
+    if not degs.size:
+        return np.zeros_like(u)
+    table = eval_orthonormal_all(marg.family, int(degs.max()), u)
+    return table[:, degs] @ coeffs
 
 
 @dataclass
@@ -231,8 +224,6 @@ class SubsampleStudy:
 
     variable_names: tuple
     totals: np.ndarray        # (repetitions, M)
-    subset_size: int
-    seed: int
 
     def summary(self) -> dict:
         """Boxplot statistics per variable: median and quartiles."""
@@ -262,11 +253,10 @@ def repeated_subsample_study(
     repetitions are independent and order-insensitive), runs the adaptive
     fit and records the total indices.  All repetitions go to
     ``adaptive_fit_draws`` as one list of draws, so their fits share one
-    worker per available core.
+    worker per available core.  The responses are checked once, as a fit
+    checks them, before any draw, so an error names design rows.
     """
-    y = np.asarray(responses, dtype=float).ravel()
-    if y.shape[0] != design.n:
-        raise ValueError("responses do not match design size")
+    y = checked_responses(responses, design, scale)
     if not (0 < subset_size <= design.n):
         raise ValueError("subset size must lie in [1, N]")
     if repetitions < 1:
@@ -278,4 +268,4 @@ def repeated_subsample_study(
         draws.append((ExperimentalDesign(design.names, design.points[rows]), y[rows]))
     fits = adaptive_fit_draws(draws, rv, p_range, q, scale)
     totals = np.array([sobol_total(pce) for pce, _ in fits])
-    return SubsampleStudy(tuple(design.names), totals, subset_size, seed)
+    return SubsampleStudy(tuple(design.names), totals)

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -453,6 +454,61 @@ class TestParameterPlumbing:
         model = aq.default_model()
         with pytest.raises(ValueError):
             ModelParameters.from_vector(model, np.zeros(10))
+
+    @pytest.mark.parametrize("refine", [1, 2])
+    def test_parameter_table_pinned(self, refine):
+        """Names, marginals and nominal vector hash as they did before the
+        vector's layout was read from one table."""
+        model = aq.default_model()
+        if refine > 1:
+            model = model.refined(refine)
+        rv = aq.random_vector(model)
+        digest = hashlib.sha256()
+        digest.update(repr(aq.parameter_names(model)).encode())
+        digest.update(repr(rv.names).encode())
+        for marg in rv.marginals:
+            digest.update(f"{marg.kind} {marg.a.hex()} {marg.b.hex()};".encode())
+        nominal = aq.nominal_parameters(model)
+        assert nominal.dtype == np.float64
+        digest.update(nominal.tobytes())
+        assert digest.hexdigest() == (
+            "4f2138511727550034dfaf0a377ea5537ae918ac59257959bf94948c7a8f25fc"
+        )
+
+    def test_from_vector_reads_each_property_where_it_is_tabulated(self):
+        model = aq.default_model()
+        mp = ModelParameters.from_vector(model, aq.nominal_parameters(model))
+        assert np.array_equal(mp.phi, [lay.phi_nominal for lay in model.layers])
+        for field, key in (("anisotropy_k", "anisotropy_k"),
+                           ("theta_deg", "euler_angle"),
+                           ("alpha_l", "dispersivity_l"),
+                           ("anisotropy_a", "anisotropy_a")):
+            values = getattr(mp, field)
+            assert values.shape == (len(model.layers),)
+            assert np.all(values == model.property_ranges[key]["nominal"]), field
+        assert mp.gradients == {
+            zone: spec["gradient"]["nominal"] for zone, spec in model.zones.items()
+        }
+
+    def test_validate_names_the_input_above_its_range(self):
+        model = aq.default_model()
+        params = aq.nominal_parameters(model)
+        j = aq.parameter_names(model).index("aL:C2")
+        upper = aq.random_vector(model).marginals[j].b
+        params[j] = np.nextafter(upper, np.inf)
+        with pytest.raises(ValueError, match=r"aL:C2 = 25\.000000000000004 .*\[5\.0, 25\.0\]"):
+            aq.validate_parameters(model, params)
+        params[j] = upper
+        aq.validate_parameters(model, params)
+
+    def test_validate_rejects_nan_and_wrong_size(self):
+        model = aq.default_model()
+        params = aq.nominal_parameters(model)
+        params[-1] = np.nan
+        with pytest.raises(ValueError, match="gradH:3 = nan"):
+            aq.validate_parameters(model, params)
+        with pytest.raises(ValueError, match="77 entries, expected 78"):
+            aq.validate_parameters(model, aq.nominal_parameters(model)[:-1])
 
     def test_nominal_boundary_heads_match_tables(self):
         model = aq.default_model()

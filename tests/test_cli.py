@@ -370,6 +370,78 @@ def prepare_ishigami_run(tmp_path, n=200, seed=42, p_max=12, scale="original"):
     return cfg, tmp_path / "out" / "design.csv", rpath
 
 
+def write_responses(path, y):
+    with open(path, "w") as fh:
+        fh.write("response\n")
+        np.savetxt(fh, y, fmt="%.17g")
+
+
+class TestResponseChecks:
+    """Responses no fit could take end ``fit`` and ``study`` with one error
+    line that names the responses file, before any fit runs."""
+
+    @pytest.mark.parametrize("command", ["fit", "study"])
+    def test_non_finite_response(self, tmp_path, capsys, command):
+        cfg, design, responses = prepare_ishigami_run(tmp_path, n=40, p_max=1)
+        y = load_responses_csv(responses)
+        y[7] = np.nan
+        write_responses(responses, y)
+        capsys.readouterr()
+        status = main([command, "--config", str(cfg), "--design", str(design),
+                       "--responses", str(responses)])
+        assert status == 2
+        assert_one_line_error(
+            capsys, f"error: {responses}: 1 non-finite responses, at rows 7"
+        )
+        assert not (tmp_path / "out" / "pce.json").exists()
+        assert not (tmp_path / "out" / "subsample_study.csv").exists()
+
+    @pytest.mark.parametrize("command", ["fit", "study"])
+    def test_non_positive_response_on_log_scale(self, tmp_path, capsys, command):
+        cfg, design, responses = prepare_ishigami_run(
+            tmp_path, n=40, p_max=1, scale="log"
+        )
+        assert load_responses_csv(responses).min() <= 0.0  # Ishigami changes sign
+        capsys.readouterr()
+        status = main([command, "--config", str(cfg), "--design", str(design),
+                       "--responses", str(responses)])
+        assert status == 2
+        assert_one_line_error(
+            capsys, f"error: {responses}: log-scale fit requires strictly positive"
+        )
+
+    def test_non_finite_validation_response(self, tmp_path, capsys):
+        cfg, design, responses = prepare_ishigami_run(tmp_path, n=40, p_max=1)
+        vcfg = write_config(tmp_path / "v.yaml", design={"n": 20, "seed": 77},
+                            output_dir=str(tmp_path / "vout"))
+        main(["sample", "--config", str(vcfg)])
+        vdesign = tmp_path / "vout" / "design.csv"
+        y = ishigami(ExperimentalDesign.from_csv(vdesign).points)
+        y[3] = np.nan
+        vresp = tmp_path / "vout" / "responses.csv"
+        write_responses(vresp, y)
+        capsys.readouterr()
+        status = main(["fit", "--config", str(cfg), "--design", str(design),
+                       "--responses", str(responses), "--validation-design",
+                       str(vdesign), "--validation-responses", str(vresp)])
+        assert status == 2
+        assert_one_line_error(
+            capsys, f"error: {vresp}: 1 non-finite responses, at rows 3"
+        )
+        assert not (tmp_path / "out" / "pce.json").exists()
+
+    def test_subset_larger_than_design(self, tmp_path, capsys):
+        _, design, responses = prepare_ishigami_run(tmp_path, n=40, p_max=1)
+        cfg = write_config(tmp_path / "study.yaml", fit={"q": 1.0, "p_range": [1, 1]},
+                           study={"subset_size": 41, "repetitions": 1, "seed": 1})
+        capsys.readouterr()
+        status = main(["study", "--config", str(cfg), "--design", str(design),
+                       "--responses", str(responses)])
+        assert status == 2
+        assert_one_line_error(capsys, "study.subset_size is 41", "the 40 points")
+        assert not (tmp_path / "out" / "subsample_study.csv").exists()
+
+
 class TestFit:
     def test_single_degree_report(self, tmp_path):
         cfg, design, responses = prepare_ishigami_run(tmp_path, n=40, p_max=1)

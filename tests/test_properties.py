@@ -68,11 +68,8 @@ def sparse_pces(draw):
         random_vector=rv,
         active_set=aset,
         coefficients=np.array(coeffs),
-        degree=p,
-        q=q,
         err_loo=0.1,
         err_loo_corrected=0.2,
-        sparsity_index=len(keep) / len(full),
         candidate_size=len(full),
     )
 

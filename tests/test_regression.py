@@ -588,6 +588,15 @@ class TestGeneralizationError:
         with pytest.raises(ValueError):
             generalization_error(pce, design.with_responses(np.ones(40)))
 
+    def test_non_finite_validation_response_rejected(self):
+        rng = np.random.default_rng(16)
+        rv, candidate, design, y, _, _ = synthetic_sparse_truth(rng, n=40)
+        pce = hybrid_fit(candidate, design, y, rv)
+        y = y.copy()
+        y[5] = np.inf
+        with pytest.raises(ValueError, match="at rows 5"):
+            generalization_error(pce, design.with_responses(y))
+
 
 class TestAdaptiveFit:
     def test_quadratic_truth_selects_degree_two(self):
@@ -666,4 +675,13 @@ class TestSerialization:
             SparsePce.from_dict(doc)
         del doc["format"]
         with pytest.raises(ValueError, match="format tag None"):
+            SparsePce.from_dict(doc)
+
+    def test_derived_fields_round_trip_and_checked(self):
+        rng = np.random.default_rng(18)
+        rv, candidate, design, y, _, _ = synthetic_sparse_truth(rng, n=50)
+        doc = hybrid_fit(candidate, design, y, rv).to_dict()
+        assert SparsePce.from_dict(doc).to_dict() == doc
+        doc["candidate_size"] = len(doc["active_set"]) - 1
+        with pytest.raises(ValueError, match="larger than the candidate set"):
             SparsePce.from_dict(doc)

@@ -31,11 +31,8 @@ def pce_from_terms(terms, rv, p=4, q=1.0):
         random_vector=rv,
         active_set=aset,
         coefficients=coeffs,
-        degree=p,
-        q=q,
         err_loo=0.0,
         err_loo_corrected=0.0,
-        sparsity_index=1.0,
         candidate_size=len(degrees),
     )
 
@@ -216,13 +213,13 @@ class TestUnivariateEffect:
         )
         pce = pce_from_terms({(0, 0): 1.0, (1, 0): 2.0}, rv)
         eff = univariate_effect(pce, 1, np.linspace(-1, 1, 11))
-        assert np.all(eff.values == 0.0)
+        assert np.all(eff == 0.0)
 
     def test_effect_values_match_basis(self, two_var_pce):
         grid = np.linspace(-1, 1, 9)
         eff = univariate_effect(two_var_pce, 0, grid)
         expected = 3.0 * eval_orthonormal_all("legendre", 1, grid)[..., 1]
-        assert np.allclose(eff.values, expected)
+        assert np.allclose(eff, expected)
 
     def test_integrates_to_zero_against_marginal(self):
         rv = RandomVector(
@@ -235,12 +232,12 @@ class TestUnivariateEffect:
         # uniform marginal: Gauss-Legendre in standard coordinates
         xs, ws = np.polynomial.legendre.leggauss(30)
         eff = univariate_effect(pce, 0, 4.0 + 2.0 * xs)  # U(2, 6)
-        assert abs(np.sum(eff.values * ws / 2.0)) < 1e-10
+        assert abs(np.sum(eff * ws / 2.0)) < 1e-10
         # gaussian marginal: Gauss-Hermite (probabilists')
         xs, ws = np.polynomial.hermite_e.hermegauss(30)
         ws = ws / np.sqrt(2 * np.pi)
         eff_g = univariate_effect(pce, 1, 1.0 + 2.0 * xs)  # N(1, 2^2)
-        assert abs(np.sum(eff_g.values * ws)) < 1e-10
+        assert abs(np.sum(eff_g * ws)) < 1e-10
 
     def test_matches_conditional_expectation_monte_carlo(self, two_var_pce):
         rng = np.random.default_rng(1)
@@ -248,7 +245,7 @@ class TestUnivariateEffect:
         eff = univariate_effect(two_var_pce, 0, grid)
         mean, _ = moments(two_var_pce)
         n = 100_000
-        for gval, eval_ in zip(grid, eff.values):
+        for gval, eval_ in zip(grid, eff):
             x = np.column_stack([np.full(n, gval), rng.uniform(-1, 1, n)])
             cond = two_var_pce.predict(x)
             mc = np.mean(cond) - mean
@@ -300,6 +297,21 @@ class TestSubsampleStudy:
         with pytest.raises(ValueError):
             repeated_subsample_study(
                 design, y, ishigami_rv, subset_size=10, repetitions=0
+            )
+
+    @pytest.mark.parametrize("repetitions", [10, 3])
+    def test_non_finite_response_named_by_design_row(self, repetitions):
+        """Checked once over the whole design: the error names the design
+        row, and a row no draw picks is refused too (seed 0 with three
+        repetitions draws none of row 50)."""
+        rv = RandomVector(("x0", "x1"), (Marginal.uniform(0, 1),) * 2)
+        design = lhs(60, rv, 1)
+        y = design.points[:, 0] + design.points[:, 1] ** 2
+        y[50] = np.nan
+        with pytest.raises(ValueError, match=r"1 non-finite responses, at rows 50$"):
+            repeated_subsample_study(
+                design, y, rv, subset_size=30, repetitions=repetitions, seed=0,
+                p_range=range(1, 3),
             )
 
 
